@@ -14,26 +14,14 @@
 //                 fingerprint, one shared lock on one cache shard per hit;
 //   batched       Objective::plan_costs — whole-pool scoring: probe,
 //                 deduplicate unseen fingerprints, evaluate only those,
-//                 then pure cache reads;
-//   delta         Objective::merge_delta — single-merge move costing: the
-//                 union of the two touched groups is resolved directly
-//                 from their member spans, every untouched group from the
-//                 caller's row costs. One logical plan recost per move is
-//                 answered with one group resolution, which is where the
-//                 order-of-magnitude throughput step comes from.
+//                 then pure cache reads.
 //
-// The first three produce bit-identical per-plan costs (asserted); the
-// delta phase's answers are asserted bit-identical to full recosts of the
-// actually-merged plans (summed in merged-plan group order, see DESIGN.md
-// item 18). The report is group evaluations per second — for the delta
-// phase, the evaluations the other engines would have spent answering the
-// same merge queries — plus the sharded cache's statistics. The JSON
-// mirror (BENCH_eval_throughput.json) feeds the CI perf-smoke job, which
-// fails on a large regression vs the committed baseline and on a delta
-// phase slower than 10x the committed batched floor.
+// All three produce bit-identical per-plan costs (asserted). The report is
+// group evaluations per second plus the sharded cache's statistics. The
+// JSON mirror (BENCH_eval_throughput.json) feeds the CI perf-smoke job,
+// which fails on a large regression vs the committed baseline.
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -129,12 +117,8 @@ Phase run_phase(const std::string& name, long groups_per_round,
 
 int run(int argc, char** argv) {
   double min_speedup = 0.0;
-  double min_delta_speedup = 0.0;  // delta evals/s over batched evals/s
   for (int i = 1; i < argc - 1; ++i) {
     if (std::strcmp(argv[i], "--min-speedup") == 0) min_speedup = std::atof(argv[i + 1]);
-    if (std::strcmp(argv[i], "--min-delta-speedup") == 0) {
-      min_delta_speedup = std::atof(argv[i + 1]);
-    }
   }
 
   print_header("Evaluation-engine throughput: sharded cache + batched scoring",
@@ -199,84 +183,11 @@ int run(int argc, char** argv) {
       "batched", groups_per_round, pool.size(), target_s,
       [&](std::vector<double>& costs) { costs = pipe.objective.plan_costs(pool); });
 
-  // ---- delta phase: single-merge move replay (greedy's inner question) ----
-  // Each move asks "what does the plan cost after merging groups (gi, gj)?".
-  // A full recost answers with one group query per surviving group; the
-  // delta engine answers with one union resolution plus pure row reads, so
-  // its logical-evaluation credit per move is (num_groups - 1).
-  struct MergeMove {
-    std::size_t plan;
-    int gi;
-    int gj;
-  };
-  std::vector<MergeMove> moves;
-  std::vector<std::vector<double>> rows(pool.size());
-  long delta_evals_per_round = 0;
-  {
-    Rng move_rng(0xde17a);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      const FusionPlan& plan = pool[i];
-      const int n = plan.num_groups();
-      rows[i].resize(static_cast<std::size_t>(n));
-      for (int g = 0; g < n; ++g) {
-        rows[i][static_cast<std::size_t>(g)] =
-            pipe.objective.group_cost(plan.group(g)).cost_s;  // warm: all hits
-      }
-      if (n < 2) continue;
-      for (int t = 0; t < 8; ++t) {
-        const int gi =
-            static_cast<int>(move_rng.next_below(static_cast<std::uint64_t>(n)));
-        int gj =
-            static_cast<int>(move_rng.next_below(static_cast<std::uint64_t>(n - 1)));
-        if (gj >= gi) ++gj;
-        moves.push_back(MergeMove{i, std::min(gi, gj), std::max(gi, gj)});
-        delta_evals_per_round += n - 1;
-      }
-    }
-  }
-  // Replayed serially: greedy's pair scan — the client this move stream
-  // mirrors — is a serial loop, and the per-move work is far below the
-  // cost of parallel dispatch.
-  const Phase delta_phase = run_phase(
-      "delta", delta_evals_per_round, moves.size(), target_s,
-      [&](std::vector<double>& costs) {
-        costs.resize(moves.size());
-        for (std::size_t m = 0; m < moves.size(); ++m) {
-          const MergeMove& mv = moves[m];
-          costs[m] = pipe.objective
-                         .merge_delta(pool[mv.plan], mv.gi, mv.gj, rows[mv.plan])
-                         .merged.cost_s;
-        }
-      });
-
-  // Bit-identity of the delta answers: re-summing the cached rows in the
-  // merged plan's group order (union at the kept slot, erased slot skipped)
-  // must equal a full recost of the actually-merged plan, bit for bit.
-  bool delta_identical = true;
-  for (const MergeMove& mv : moves) {
-    FusionPlan merged = pool[mv.plan];
-    merged.merge_groups(mv.gi, mv.gj);
-    const double full = pipe.objective.plan_cost(merged);
-    const Objective::MergeDelta d =
-        pipe.objective.merge_delta(pool[mv.plan], mv.gi, mv.gj, rows[mv.plan]);
-    double replay = 0.0;
-    for (int g = 0; g < pool[mv.plan].num_groups(); ++g) {
-      if (g == mv.gj) continue;
-      replay +=
-          g == mv.gi ? d.merged.cost_s : rows[mv.plan][static_cast<std::size_t>(g)];
-    }
-    if (std::bit_cast<std::uint64_t>(replay) != std::bit_cast<std::uint64_t>(full)) {
-      delta_identical = false;
-    }
-  }
-
   const Objective::CacheStats stats = pipe.objective.cache_stats();
   const bool identical = legacy_phase.costs == sharded_phase.costs &&
                          sharded_phase.costs == batched_phase.costs;
   const double speedup_sharded = sharded_phase.evals_per_s / legacy_phase.evals_per_s;
   const double speedup_batched = batched_phase.evals_per_s / legacy_phase.evals_per_s;
-  const double speedup_delta = delta_phase.evals_per_s / legacy_phase.evals_per_s;
-  const double delta_vs_batched = delta_phase.evals_per_s / batched_phase.evals_per_s;
 
   TextTable table({"engine", "evals/s", "plans/s", "rounds", "speedup"});
   table.add(legacy_phase.name, fixed(legacy_phase.evals_per_s / 1e6, 2) + "M",
@@ -288,24 +199,14 @@ int run(int argc, char** argv) {
   table.add(batched_phase.name, fixed(batched_phase.evals_per_s / 1e6, 2) + "M",
             fixed(batched_phase.plans_per_s / 1e3, 1) + "k", batched_phase.rounds,
             fixed(speedup_batched, 2) + "x");
-  table.add(delta_phase.name, fixed(delta_phase.evals_per_s / 1e6, 2) + "M",
-            fixed(delta_phase.plans_per_s / 1e3, 1) + "k", delta_phase.rounds,
-            fixed(speedup_delta, 2) + "x");
   std::cout << table;
 
   std::cout << "\nper-plan costs bit-identical across engines: "
             << (identical ? "yes" : "NO — BUG") << "\n"
-            << "delta merge answers bit-identical to full recosts: "
-            << (delta_identical ? "yes" : "NO — BUG") << "\n"
-            << "delta vs batched: " << fixed(delta_vs_batched, 2) << "x ("
-            << moves.size() << " merge moves/round)\n"
             << "sharded cache: " << stats.entries << " entries / " << stats.shards
             << " shards, hit rate " << fixed(100.0 * stats.hit_rate(), 2)
             << "%, duplicate misses " << stats.duplicate_misses
-            << ", lock waits " << stats.shard_contention << "\n"
-            << "delta counters: " << stats.delta_hits << " incremental hits, "
-            << stats.delta_full_recosts << " full recosts, "
-            << stats.delta_mismatches << " mismatches\n";
+            << ", lock waits " << stats.shard_contention << "\n";
 
   JsonValue doc = JsonValue::object();
   doc.set("schema", "kf-bench-metrics/v1");
@@ -317,16 +218,8 @@ int run(int argc, char** argv) {
   doc.set("legacy_evals_per_s", legacy_phase.evals_per_s);
   doc.set("sharded_evals_per_s", sharded_phase.evals_per_s);
   doc.set("batched_evals_per_s", batched_phase.evals_per_s);
-  doc.set("delta_evals_per_s", delta_phase.evals_per_s);
   doc.set("speedup_sharded", speedup_sharded);
   doc.set("speedup_batched", speedup_batched);
-  doc.set("speedup_delta", speedup_delta);
-  doc.set("delta_vs_batched", delta_vs_batched);
-  doc.set("merge_moves", static_cast<long>(moves.size()));
-  doc.set("delta_hits", stats.delta_hits);
-  doc.set("delta_full_recosts", stats.delta_full_recosts);
-  doc.set("delta_mismatches", stats.delta_mismatches);
-  doc.set("delta_identical", delta_identical);
   doc.set("cache_hit_rate", stats.hit_rate());
   doc.set("cache_entries", static_cast<long>(stats.entries));
   doc.set("cache_shards", static_cast<long>(stats.shards));
@@ -339,21 +232,11 @@ int run(int argc, char** argv) {
     std::cerr << "FAIL: engines disagree on plan costs\n";
     return 1;
   }
-  if (!delta_identical || stats.delta_mismatches != 0) {
-    std::cerr << "FAIL: delta merge answers diverge from full recosts\n";
-    return 1;
-  }
   if (min_speedup > 0.0 &&
       std::max(speedup_sharded, speedup_batched) < min_speedup) {
     std::cerr << "FAIL: best speedup "
               << fixed(std::max(speedup_sharded, speedup_batched), 2)
               << "x below required " << fixed(min_speedup, 2) << "x\n";
-    return 1;
-  }
-  if (min_delta_speedup > 0.0 && delta_vs_batched < min_delta_speedup) {
-    std::cerr << "FAIL: delta costing " << fixed(delta_vs_batched, 2)
-              << "x over batched, below required "
-              << fixed(min_delta_speedup, 2) << "x\n";
     return 1;
   }
   return 0;

@@ -77,16 +77,7 @@ SearchResult annealing_search(const Objective& objective, AnnealingConfig config
   result.baseline_cost_s = objective.baseline_cost();
 
   FusionPlan current = random_legal_plan(checker, rng, config.init_aggressiveness);
-  // Delta costing: carry the current plan's per-group costs in a memo so a
-  // neighbor candidate only pays for the groups its move actually changed;
-  // the candidate's cost is still summed in its own group order, so the
-  // value is bit-identical to a full recost (see DESIGN.md item 18).
-  const bool delta_costing = objective.delta_costing();
-  Objective::GroupCostMemo memo;
-  Objective::GroupCostMemo memo_scratch;
-  double current_cost = delta_costing
-                            ? objective.plan_cost_with_memo(current, {}, &memo)
-                            : objective.plan_cost(current);
+  double current_cost = objective.plan_cost(current);
   result.best = current;
   result.best_cost_s = current_cost;
   result.time_to_best_s = watch.elapsed_s();
@@ -100,16 +91,12 @@ SearchResult annealing_search(const Objective& objective, AnnealingConfig config
     FusionPlan candidate = current;
     Rng stream = rng.split();
     if (!random_move(checker, candidate, stream)) continue;
-    const double cost =
-        delta_costing
-            ? objective.plan_cost_with_memo(candidate, memo, &memo_scratch)
-            : objective.plan_cost(candidate);
+    const double cost = objective.plan_cost(candidate);
     const double delta = cost - current_cost;
     if (delta <= 0.0 ||
         rng.next_double() < std::exp(-delta / std::max(temperature, 1e-18))) {
       current = std::move(candidate);
       current_cost = cost;
-      if (delta_costing) std::swap(memo, memo_scratch);
       if (cost < result.best_cost_s) {
         result.best = current;
         result.best_cost_s = cost;

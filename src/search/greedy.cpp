@@ -17,25 +17,15 @@ SearchResult greedy_search(const Objective& objective, SearchControl* control,
   const Program& program = checker.program();
   FusionPlan plan(program.num_kernels());
   if (control != nullptr) control->note_best(plan, objective.plan_cost(plan));
-  const bool delta_costing = objective.delta_costing();
 
-  // Per-row group costs. Under delta costing the rows persist across
-  // passes: a merge only changes the two rows it touches (the union lands
-  // at the smaller index, the larger row dies — exactly merge_groups'
-  // semantics), so accepted merges recompute nothing and every pass after
-  // the first costs only its union queries. A per-pass hoisted snapshot
-  // would go stale the moment a merge is accepted; maintaining the two
-  // touched rows is both cheaper and always current. With delta costing
-  // off the rows are re-hoisted from the cache at the top of each pass
-  // (the PR 3 behaviour, kept for the equivalence tests).
-  std::vector<double> group_cost_s;
-  if (delta_costing) {
-    objective.note_delta_full_recost();
-    group_cost_s.resize(static_cast<std::size_t>(plan.num_groups()));
-    for (int g = 0; g < plan.num_groups(); ++g) {
-      group_cost_s[static_cast<std::size_t>(g)] =
-          objective.group_cost(plan.group(g)).cost_s;
-    }
+  // Per-row group costs, kept across passes: a merge only changes the two
+  // rows it touches (the union lands at the smaller index, the larger row
+  // dies — exactly merge_groups' semantics), so accepted merges recompute
+  // nothing and every pass costs only its union queries.
+  std::vector<double> group_cost_s(static_cast<std::size_t>(plan.num_groups()));
+  for (int g = 0; g < plan.num_groups(); ++g) {
+    group_cost_s[static_cast<std::size_t>(g)] =
+        objective.group_cost(plan.group(g)).cost_s;
   }
 
   bool progress = true;
@@ -47,13 +37,6 @@ SearchResult greedy_search(const Objective& objective, SearchControl* control,
     int best_b = -1;
     double best_merged_cost = 0.0;
     std::vector<KernelId> best_members;
-    if (!delta_costing) {
-      group_cost_s.resize(static_cast<std::size_t>(plan.num_groups()));
-      for (int g = 0; g < plan.num_groups(); ++g) {
-        group_cost_s[static_cast<std::size_t>(g)] =
-            objective.group_cost(plan.group(g)).cost_s;
-      }
-    }
     for (int a = 0; a < plan.num_groups(); ++a) {
       if (control != nullptr && control->should_stop()) break;
       for (int b = a + 1; b < plan.num_groups(); ++b) {
@@ -66,14 +49,7 @@ SearchResult greedy_search(const Objective& objective, SearchControl* control,
           trial.merge_groups(a, b);
           if (!checker.plan_is_schedulable(trial)) continue;
         }
-        // One union query per pair either way; merge_delta additionally
-        // cross-checks the maintained rows against the cache in debug mode.
-        Objective::GroupCost merged_cost;
-        if (delta_costing) {
-          merged_cost = objective.merge_delta(plan, a, b, group_cost_s).merged;
-        } else {
-          merged_cost = objective.group_cost(merged);
-        }
+        const Objective::GroupCost merged_cost = objective.group_cost(merged);
         if (!merged_cost.profitable) {
           // Provenance: an unprofitable candidate is a rejected merge —
           // constraint (1.1) said no. The dominant component stays unknown:
@@ -106,23 +82,16 @@ SearchResult greedy_search(const Objective& objective, SearchControl* control,
       }
       plan.merge_groups(best_a, best_b);
       progress = true;
-      if (delta_costing) {
-        // Mirror merge_groups on the rows: union cost at the surviving
-        // (smaller) index, the other row erased — the only two rows a merge
-        // can touch.
-        const int keep = std::min(best_a, best_b);
-        const int dead = std::max(best_a, best_b);
-        group_cost_s[static_cast<std::size_t>(keep)] = best_merged_cost;
-        group_cost_s.erase(group_cost_s.begin() + dead);
-        if (control != nullptr) {
-          // Row order mirrors group order, so this sum is bitwise the value
-          // plan_cost(plan) would return — without its n cache queries.
-          double total = 0.0;
-          for (double c : group_cost_s) total += c;
-          control->note_best(plan, total);
-        }
-      } else if (control != nullptr) {
-        control->note_best(plan, objective.plan_cost(plan));
+      // Mirror merge_groups on the rows: union cost at the surviving
+      // (smaller) index, the other row erased.
+      group_cost_s[static_cast<std::size_t>(std::min(best_a, best_b))] = best_merged_cost;
+      group_cost_s.erase(group_cost_s.begin() + std::max(best_a, best_b));
+      if (control != nullptr) {
+        // Row order mirrors group order, so this sum is bitwise the value
+        // plan_cost(plan) would return — without its n cache queries.
+        double total = 0.0;
+        for (double c : group_cost_s) total += c;
+        control->note_best(plan, total);
       }
     }
   }

@@ -7,8 +7,6 @@
 #include <numeric>
 #include <set>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "search/checkpoint.hpp"
 #include "search/driver.hpp"
@@ -21,37 +19,6 @@
 namespace kf {
 
 namespace {
-
-/// The per-Individual incremental-costing memo (one entry per group),
-/// promoted to Objective::GroupCostMemo so every search method shares the
-/// delta-costing state type. Flat + sorted: rebuilt once per evaluation
-/// and probed with a binary search — no allocation churn, cache-friendly.
-using GroupCostMap = Objective::GroupCostMemo;
-
-bool lookup_group_cost(const GroupCostMap& map, std::uint64_t fp, double* out) {
-  const auto it = std::lower_bound(
-      map.begin(), map.end(), fp,
-      [](const std::pair<std::uint64_t, double>& e, std::uint64_t key) {
-        return e.first < key;
-      });
-  if (it == map.end() || it->first != fp) return false;
-  *out = it->second;
-  return true;
-}
-
-/// Union of two sorted memos (crossover children inherit both parents'),
-/// written into `out` so a recycled child's buffer is reused. Equal
-/// fingerprints carry equal costs, so either side may win.
-void merge_group_costs(const GroupCostMap& a, const GroupCostMap& b,
-                       GroupCostMap& out) {
-  out.clear();
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
-             [](const auto& x, const auto& y) { return x.first < y.first; });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const auto& x, const auto& y) { return x.first == y.first; }),
-            out.end());
-}
 
 /// Per-generation telemetry fan-out: metrics series, one "generation" trace
 /// event, and the --progress heartbeat. Only called when telemetry is active.
@@ -81,11 +48,6 @@ void note_generation(const Telemetry& t, int gen, const GenerationStats& s,
                      static_cast<double>(cache.duplicate_misses));
     t.metrics->gauge("objective.cache.shard_contention",
                      static_cast<double>(cache.shard_contention));
-    t.metrics->gauge("objective.delta.hits", static_cast<double>(cache.delta_hits));
-    t.metrics->gauge("objective.delta.full_recosts",
-                     static_cast<double>(cache.delta_full_recosts));
-    t.metrics->gauge("objective.delta.mismatches",
-                     static_cast<double>(cache.delta_mismatches));
   }
   if (t.wants_trace()) {
     t.trace->emit("generation", [&](TraceEvent& e) {
@@ -136,18 +98,8 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
   const LegalityChecker& checker = objective.checker();
   SpanTracer::Scope polish_span = scoped_span(telemetry, "local_polish");
   const bool provenance = telemetry != nullptr && telemetry->wants_decisions();
-  // Delta costing: every candidate differs from `plan` in at most two
-  // groups, so it resolves against the current plan's memo and pays only
-  // for the groups its edit created. Candidate costs stay bit-identical to
-  // a full recost — plan_cost_with_memo sums the candidate's groups in its
-  // own group order (see DESIGN.md item 18).
-  const bool delta_costing = objective.delta_costing();
-  Objective::GroupCostMemo memo;
-  Objective::GroupCostMemo candidate_memo;
-  Objective::GroupCostMemo best_memo;
   int edits = 0;
-  double cost = delta_costing ? objective.plan_cost_with_memo(plan, {}, &memo)
-                              : objective.plan_cost(plan);
+  double cost = objective.plan_cost(plan);
 
   bool improved = true;
   while (improved) {
@@ -163,16 +115,12 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
     // byte-for-byte the pre-provenance steepest descent.
     auto consider = [&](FusionPlan&& candidate, DecisionLog::Site site,
                         std::vector<KernelId>&& members) {
-      const double c =
-          delta_costing
-              ? objective.plan_cost_with_memo(candidate, memo, &candidate_memo)
-              : objective.plan_cost(candidate);
+      const double c = objective.plan_cost(candidate);
       if (c < best_cost - 1e-18) {
         best_cost = c;
         best_plan = std::move(candidate);
         best_site = site;
         best_members = std::move(members);
-        if (delta_costing) std::swap(best_memo, candidate_memo);
       }
     };
 
@@ -229,7 +177,6 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
       }
       plan = std::move(best_plan);
       cost = best_cost;
-      if (delta_costing) std::swap(memo, best_memo);
       ++edits;
       improved = true;
     }
@@ -249,124 +196,24 @@ Hgga::Hgga(const Objective& objective, HggaConfig config)
 void Hgga::make_random(Rng& rng, Individual& out) const {
   out.plan = random_legal_plan(objective_.checker(), rng,
                                rng.next_double(0.3, config_.init_aggressiveness));
-  evaluate_individual(out);
+  out.cost = objective_.plan_cost(out.plan);
 }
 
-void Hgga::evaluate_individual(Individual& individual) const {
-  const FusionPlan& plan = individual.plan;
-  GroupCostMap& own = individual.group_costs;  // rebuilt in place (recycled)
-  own.clear();
-  own.reserve(static_cast<std::size_t>(plan.num_groups()));
-  double total = 0.0;
-  for (int g = 0; g < plan.num_groups(); ++g) {
-    const std::uint64_t fp = Objective::group_fingerprint(plan.group(g));
-    Objective::GroupCost cost;
-    if (!objective_.peek_group_cost(fp, &cost)) {
-      cost = objective_.force_group_cost(fp, plan.group(g));
-    }
-    total += cost.cost_s;
-    own.emplace_back(fp, cost.cost_s);
+void Hgga::evaluate_offspring(std::vector<Individual>& population) const {
+  // Copy-assigning into the kept batch slots reuses their buffers, so a
+  // steady-state generation allocates no plans here.
+  std::vector<FusionPlan>& batch = scratch_.batch;
+  std::size_t dirty = 0;
+  for (const Individual& ind : population) {
+    if (ind.cost >= 0.0) continue;  // elite, carried unchanged
+    if (dirty == batch.size()) batch.emplace_back();
+    batch[dirty++] = ind.plan;
   }
-  std::sort(own.begin(), own.end());
-  individual.cost = total;
-}
-
-void Hgga::evaluate_offspring(std::vector<Individual>& offspring,
-                              const Telemetry* telemetry) const {
-  SpanTracer::Scope resolve_span = scoped_span(telemetry, "hgga.resolve");
-  // Pass 1 (serial, cheap — fingerprints and map probes only): resolve
-  // every dirty group against the individual's inherited memo first (no
-  // lock at all), then the shared cache; what remains is the distinct set
-  // of groups this generation actually created. Per-group state lives in
-  // flat scratch arrays (slot range per individual via ind_begin) so a
-  // steady-state generation allocates no per-individual vectors here.
-  Scratch& s = scratch_;
-  s.fps.clear();
-  s.resolved.clear();
-  s.unseen.clear();
-  s.scheduled.clear();
-  s.ind_begin.assign(offspring.size() + 1, 0);
-  long memo_hits = 0;
-  for (std::size_t i = 0; i < offspring.size(); ++i) {
-    Individual& ind = offspring[i];
-    s.ind_begin[i] = static_cast<std::int32_t>(s.fps.size());
-    if (ind.cost >= 0.0) continue;  // elite, carried unchanged (empty range)
-    const int n = ind.plan.num_groups();
-    for (int g = 0; g < n; ++g) {
-      const std::uint64_t fp = Objective::group_fingerprint(ind.plan.group(g));
-      s.fps.push_back(fp);
-      double known;
-      if (lookup_group_cost(ind.group_costs, fp, &known)) {
-        s.resolved.push_back(known);
-        ++memo_hits;
-        continue;
-      }
-      if (s.scheduled.count(fp) != 0) {
-        // Another offspring already scheduled this fingerprint: it resolves
-        // from the batch in pass 3 without touching the shared cache — a
-        // caller-side hit, like the memo ones, so counters stay balanced
-        // (evaluations == hits + misses) in every mode.
-        ++memo_hits;
-        s.resolved.push_back(-1.0);
-        continue;
-      }
-      Objective::GroupCost cached;
-      if (objective_.peek_group_cost(fp, &cached)) {
-        s.resolved.push_back(cached.cost_s);
-        continue;
-      }
-      s.scheduled.insert(fp);
-      s.resolved.push_back(-1.0);
-      s.unseen.push_back(Scratch::PendingEval{fp, i, g});
-    }
-  }
-  s.ind_begin[offspring.size()] = static_cast<std::int32_t>(s.fps.size());
-  objective_.note_incremental_hits(memo_hits);
-  resolve_span.end();
-
-  // Pass 2 (parallel): evaluate only the distinct unseen groups. Order
-  // independence is what makes 1-thread and N-thread runs bit-identical:
-  // each cost is a pure function of its member set.
-  {
-    SpanTracer::Scope eval_span = scoped_span(telemetry, "hgga.eval_misses");
-#pragma omp parallel for schedule(dynamic)
-    for (std::size_t m = 0; m < s.unseen.size(); ++m) {
-      const Scratch::PendingEval& p = s.unseen[m];
-      const Objective::GroupCost cost = objective_.force_group_cost(
-          p.fp, offspring[p.individual].plan.group(p.group));
-      s.resolved[static_cast<std::size_t>(s.ind_begin[p.individual]) +
-                 static_cast<std::size_t>(p.group)] = cost.cost_s;
-    }
-  }
-  SpanTracer::Scope score_span = scoped_span(telemetry, "hgga.score");
-  s.computed.clear();
-  s.computed.reserve(s.unseen.size());
-  for (const Scratch::PendingEval& p : s.unseen) {
-    s.computed.emplace(p.fp,
-                       s.resolved[static_cast<std::size_t>(s.ind_begin[p.individual]) +
-                                  static_cast<std::size_t>(p.group)]);
-  }
-
-  // Pass 3 (serial): score every plan with pure reads — summed in group
-  // order, exactly as plan_cost does — and rebuild its memo in place
-  // (the inherited entries were consumed in pass 1).
-  for (std::size_t i = 0; i < offspring.size(); ++i) {
-    Individual& ind = offspring[i];
-    if (ind.cost >= 0.0) continue;
-    const auto begin = static_cast<std::size_t>(s.ind_begin[i]);
-    const auto end = static_cast<std::size_t>(s.ind_begin[i + 1]);
-    GroupCostMap& own = ind.group_costs;
-    own.clear();
-    own.reserve(end - begin);
-    double total = 0.0;
-    for (std::size_t g = begin; g < end; ++g) {
-      double c = s.resolved[g];
-      if (c < 0.0) c = s.computed.at(s.fps[g]);
-      total += c;
-      own.emplace_back(s.fps[g], c);
-    }
-    std::sort(own.begin(), own.end());
-    ind.cost = total;
+  const std::vector<double> costs =
+      objective_.plan_costs(std::span<const FusionPlan>(batch.data(), dirty));
+  std::size_t next = 0;
+  for (Individual& ind : population) {
+    if (ind.cost < 0.0) ind.cost = costs[next++];
   }
 }
 
@@ -406,15 +253,14 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
   }
 
   // Provenance: each inherited group is an accepted fusion decision of this
-  // child. The delta is its fusion benefit over the members' original times;
-  // both lookups are cache hits (the group was costed in parent b), so the
-  // recording never perturbs the search — it only advances counters.
+  // child. The delta is its fusion benefit over the members' original times,
+  // read through the observer-side lookup so recording it moves no counter.
   if (telemetry != nullptr && telemetry->wants_decisions()) {
     for (int i = 0; i < injected.size(); ++i) {
       const auto g = injected.group(i);
       double original_sum = 0.0;
       for (KernelId k : g) original_sum += objective_.original_time(k);
-      const double delta = objective_.group_cost(g).cost_s - original_sum;
+      const double delta = objective_.inspect_group_cost(g).cost_s - original_sum;
       telemetry->decisions->record(DecisionLog::Site::CrossoverInject, true, g,
                                    delta, objective_.dominant_component(g));
     }
@@ -479,8 +325,9 @@ int Hgga::mutate(Individual& individual, Rng& rng,
   const LegalityChecker& checker = objective_.checker();
   FusionPlan& plan = individual.plan;
   int applied = 0;
-  // Provenance recording below never consumes RNG and all its group-cost
-  // lookups are pure, so an attached decision log cannot change the search.
+  // Provenance recording below never consumes RNG and reads group costs
+  // through the observer-side lookup, so an attached decision log changes
+  // neither the search nor its counters.
   const bool provenance = telemetry != nullptr && telemetry->wants_decisions();
 
   // merge two sharing-connected groups
@@ -501,12 +348,11 @@ int Hgga::mutate(Individual& individual, Rng& rng,
           trial.merge_groups(ga, gb);
           if (checker.plan_is_schedulable(trial)) {
             if (provenance) {
-              // Sort first: the evaluation merge_delta seeds into the cache
-              // is for the canonical member order the plan will later query,
-              // and delta_s carries the exact (union - a) - b associativity
-              // the expanded three-lookup form used.
               std::sort(merged.begin(), merged.end());
-              const double delta = objective_.merge_delta(plan, ga, gb).delta_s;
+              const double delta =
+                  (objective_.inspect_group_cost(merged).cost_s -
+                   objective_.inspect_group_cost(plan.group(ga)).cost_s) -
+                  objective_.inspect_group_cost(plan.group(gb)).cost_s;
               telemetry->decisions->record(DecisionLog::Site::MutationMerge,
                                            true, merged, delta,
                                            objective_.dominant_component(merged));
@@ -532,7 +378,8 @@ int Hgga::mutate(Individual& individual, Rng& rng,
         const auto group = plan.group(victim);
         double singleton_sum = 0.0;
         for (KernelId k : group) singleton_sum += objective_.original_time(k);
-        const double delta = singleton_sum - objective_.group_cost(group).cost_s;
+        const double delta =
+            singleton_sum - objective_.inspect_group_cost(group).cost_s;
         telemetry->decisions->record(DecisionLog::Site::MutationSplit, true,
                                      group, delta,
                                      objective_.dominant_component(group));
@@ -558,9 +405,10 @@ int Hgga::mutate(Individual& individual, Rng& rng,
         std::sort(target.begin(), target.end());
         if (checker.group_is_legal(target)) {
           if (provenance) {
-            const double delta = objective_.group_cost(target).cost_s -
-                                 objective_.group_cost(plan.group(to)).cost_s -
-                                 objective_.original_time(k);
+            const double delta =
+                objective_.inspect_group_cost(target).cost_s -
+                objective_.inspect_group_cost(plan.group(to)).cost_s -
+                objective_.original_time(k);
             telemetry->decisions->record(DecisionLog::Site::MutationMove, true,
                                          target, delta,
                                          objective_.dominant_component(target));
@@ -620,7 +468,6 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
       Individual& slot = arena.next_offspring();
       slot.plan = ckpt.population[i];
       slot.cost = ckpt.costs[i];
-      slot.group_costs.clear();  // memos are not checkpointed; rebuilt lazily
     }
     arena.promote_offspring();
     best.plan = ckpt.best;
@@ -648,7 +495,7 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
       // legal best-so-far.
       Individual& identity = arena.next_offspring();
       identity.plan = FusionPlan(program.num_kernels());
-      evaluate_individual(identity);
+      identity.cost = objective_.plan_cost(identity.plan);
     }
     arena.promote_offspring();
     best = *best_of(population);
@@ -736,25 +583,10 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
         const Individual& a = tournament(population, rng);
         const Individual& b = tournament(population, rng);
         crossover(a, b, child, rng, telemetry);
-        // Incremental costing: the child inherits both parents' memos, so
-        // every group the operators kept intact is resolved without even a
-        // cache lookup. Inherited entries can never go stale (a
-        // fingerprint's cost is a pure function of the member set).
-        if (config_.batched_evaluation) {
-          merge_group_costs(a.group_costs, b.group_costs, child.group_costs);
-        } else {
-          child.group_costs.clear();
-        }
         parent_cost = std::min(a.cost, b.cost);
         ++stats.crossovers;
       } else {
-        const Individual& parent = tournament(population, rng);
-        child.plan = parent.plan;
-        if (config_.batched_evaluation) {
-          child.group_costs = parent.group_costs;
-        } else {
-          child.group_costs.clear();
-        }
+        child.plan = tournament(population, rng).plan;
       }
       stats.mutations += mutate(child, rng, telemetry);
       child.cost = -1.0;  // mark for evaluation
@@ -766,20 +598,10 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     // the new generation is scored in place.
     arena.promote_offspring();
 
-    // --- evaluate (batched + deduplicated by default; the per-plan path is
-    //     kept for the A/B equivalence test and the throughput bench) ---
+    // --- evaluate: one batched, deduplicated pass over the offspring ---
     {
       SpanTracer::Scope eval_span = scoped_span(telemetry, "hgga.evaluate");
-      if (config_.batched_evaluation) {
-        evaluate_offspring(population, telemetry);
-      } else {
-#pragma omp parallel for schedule(dynamic)
-        for (std::size_t i = 0; i < population.size(); ++i) {
-          if (population[i].cost < 0.0) {
-            population[i].cost = objective_.plan_cost(population[i].plan);
-          }
-        }
-      }
+      evaluate_offspring(population);
     }
     for (std::size_t i = 0; i < population.size(); ++i) {
       if (!std::isnan(crossover_parent_cost[i]) &&

@@ -24,8 +24,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fusion/fusion_plan.hpp"
@@ -74,11 +72,6 @@ struct HggaConfig {
   /// The "hybrid" in HGGA: steepest-descent local search (merge / move /
   /// split neighbourhood) applied to the final best individual.
   bool local_polish = true;
-  /// Batched, deduplicated evaluation of each generation's offspring with
-  /// incremental per-individual group costing (see DESIGN.md "Evaluation
-  /// engine"). Results are bit-identical to per-plan evaluation — the
-  /// switch exists for the throughput bench and the equivalence test.
-  bool batched_evaluation = true;
   std::uint64_t seed = 0x5eed;
 };
 
@@ -153,8 +146,8 @@ class Hgga {
   const Objective& objective_;
   HggaConfig config_;
 
-  /// Reused crossover/mutation workspace (breeding is serial, so one set is
-  /// enough): group scratch lists and small id buffers that keep their
+  /// Reused breeding and evaluation workspace (both run serially, so one set
+  /// is enough): group scratch lists and small id buffers that keep their
   /// capacity across generations — after warm-up, breeding a child performs
   /// no heap allocation beyond what the objective's miss path needs.
   struct Scratch {
@@ -165,33 +158,14 @@ class Hgga {
     std::vector<KernelId> orphans;  ///< members of dissolved groups
     std::vector<KernelId> candidate;  ///< host-group trial for one orphan
     std::vector<KernelId> members;  ///< merge/move member scratch (mutate)
-
-    // evaluate_offspring workspace: per-group data laid out flat across the
-    // whole offspring batch (ind_begin[i] is individual i's first slot).
-    struct PendingEval {
-      std::uint64_t fp;
-      std::size_t individual;
-      int group;
-    };
-    std::vector<std::uint64_t> fps;        ///< fingerprint per (ind, group)
-    std::vector<double> resolved;          ///< resolved cost or -1 per slot
-    std::vector<std::int32_t> ind_begin;   ///< slot range per individual
-    std::vector<PendingEval> unseen;       ///< distinct groups to evaluate
-    std::unordered_set<std::uint64_t> scheduled;
-    std::unordered_map<std::uint64_t, double> computed;
+    std::vector<FusionPlan> batch;  ///< dirty offspring plans (evaluate)
   };
   mutable Scratch scratch_;
 
   void make_random(Rng& rng, Individual& out) const;
-  /// Scores one individual through the shared cache and (re)builds its
-  /// group_costs memo. Identical sum order to Objective::plan_cost.
-  void evaluate_individual(Individual& individual) const;
-  /// The batched evaluation pass: resolve every dirty offspring's groups
-  /// against inherited memos and the shared cache, evaluate only the
-  /// distinct unseen fingerprints under OpenMP, then score with pure reads.
-  /// `telemetry` only adds per-pass spans — never search-state effects.
-  void evaluate_offspring(std::vector<Individual>& offspring,
-                          const Telemetry* telemetry) const;
+  /// Scores every not-yet-costed individual (cost < 0) in one
+  /// Objective::plan_costs batch.
+  void evaluate_offspring(std::vector<Individual>& population) const;
   void crossover(const Individual& a, const Individual& b, Individual& child,
                  Rng& rng, const Telemetry* telemetry) const;
   /// Returns the number of mutation operators actually applied (0..3).

@@ -1,8 +1,5 @@
 #include "search/objective.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -22,43 +19,6 @@ JsonValue members_json(std::span<const KernelId> group) {
   for (KernelId k : group) arr.push_back(JsonValue(static_cast<long>(k)));
   return arr;
 }
-
-bool memo_lookup(const Objective::GroupCostMemo& memo, std::uint64_t fp,
-                 double* out) {
-  const auto it = std::lower_bound(
-      memo.begin(), memo.end(), fp,
-      [](const std::pair<std::uint64_t, double>& e, std::uint64_t key) {
-        return e.first < key;
-      });
-  if (it == memo.end() || it->first != fp) return false;
-  *out = it->second;
-  return true;
-}
-
-/// Sorted union of two member spans in a stack buffer (heap fallback for
-/// outsized groups): the canonical member order force_group_cost expects.
-class SortedUnion {
- public:
-  SortedUnion(std::span<const KernelId> a, std::span<const KernelId> b) {
-    const std::size_t total = a.size() + b.size();
-    KernelId* buf = stack_;
-    if (total > kStackCap) {
-      heap_.resize(total);
-      buf = heap_.data();
-    }
-    std::copy(a.begin(), a.end(), buf);
-    std::copy(b.begin(), b.end(), buf + a.size());
-    std::sort(buf, buf + total);
-    view_ = std::span<const KernelId>(buf, total);
-  }
-  std::span<const KernelId> view() const noexcept { return view_; }
-
- private:
-  static constexpr std::size_t kStackCap = 128;
-  KernelId stack_[kStackCap];
-  std::vector<KernelId> heap_;
-  std::span<const KernelId> view_;
-};
 
 }  // namespace
 
@@ -196,11 +156,16 @@ Objective::GroupCost Objective::group_cost(std::span<const KernelId> group) cons
   return force_group_cost(key, group);
 }
 
-void Objective::note_incremental_hits(long n) const noexcept {
-  if (n <= 0) return;
-  evaluations_.fetch_add(n, std::memory_order_relaxed);
-  hits_.fetch_add(n, std::memory_order_relaxed);
-  incremental_hits_.fetch_add(n, std::memory_order_relaxed);
+Objective::GroupCost Objective::inspect_group_cost(
+    std::span<const KernelId> group) const {
+  KF_REQUIRE(!group.empty(), "empty group");
+  GroupCostCache::Entry entry;
+  if (cache_.find(group_fingerprint(group), &entry)) return entry.cost;
+  try {
+    return compute_group_cost(group);
+  } catch (const std::runtime_error&) {
+    return quarantine_cost(group);
+  }
 }
 
 void Objective::note_fault(std::span<const KernelId> group, std::uint64_t fingerprint,
@@ -322,7 +287,7 @@ std::vector<double> Objective::plan_costs(std::span<const FusionPlan> plans) con
   // L1/L2-resident; sizing it to the query count measurably hurts. The
   // first occurrence in plan order is the representative, so the miss work
   // list is deterministic. Key 0 marks an empty slot; the (2^-64) group
-  // whose fingerprint is 0 falls back to the per-query path.
+  // whose fingerprint is 0 falls back to group_cost.
   std::size_t cap = 1024;
   std::vector<std::uint64_t> keys(cap, 0);
   std::vector<std::uint32_t> index(cap, 0);
@@ -339,21 +304,22 @@ std::vector<double> Objective::plan_costs(std::span<const FusionPlan> plans) con
     while (keys[pos] != 0 && keys[pos] != fp) pos = (pos + 1) & (cap - 1);
     return pos;
   };
+  long in_batch = 0;  ///< duplicate queries answered from the table
   std::size_t q = 0;
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const FusionPlan& plan = plans[i];
     for (int g = 0; g < plan.num_groups(); ++g) {
       const std::uint64_t fp = group_fingerprint(plan.group(g));
+      if (fp == 0) {  // cannot live in the table; resolve per occurrence
+        --queries;
+        slots[q++] = static_cast<std::uint32_t>(arena.size());
+        arena.push_back(group_cost(plan.group(g)).cost_s);
+        continue;
+      }
       std::size_t pos = probe(fp);
-      if (keys[pos] != fp) {
-        if (fp == 0) {  // cannot live in the table; resolve per occurrence
-          --queries;
-          GroupCost cost;
-          if (!peek_group_cost(fp, &cost)) cost = force_group_cost(fp, plan.group(g));
-          slots[q++] = static_cast<std::uint32_t>(arena.size());
-          arena.push_back(cost.cost_s);
-          continue;
-        }
+      if (keys[pos] == fp) {
+        ++in_batch;
+      } else {
         if ((arena.size() + 1) * 3 > cap * 2) {
           std::vector<std::uint64_t> old_keys = std::move(keys);
           std::vector<std::uint32_t> old_index = std::move(index);
@@ -388,6 +354,7 @@ std::vector<double> Objective::plan_costs(std::span<const FusionPlan> plans) con
   evaluations_.fetch_add(queries, std::memory_order_relaxed);
   hits_.fetch_add(queries - static_cast<long>(misses.size()),
                   std::memory_order_relaxed);
+  incremental_hits_.fetch_add(in_batch, std::memory_order_relaxed);
 
   probe_span.end();
 
@@ -419,134 +386,6 @@ std::vector<double> Objective::plan_costs(std::span<const FusionPlan> plans) con
   return out;
 }
 
-void Objective::cross_check(std::uint64_t fingerprint, double used_cost_s,
-                            const char* site) const {
-  GroupCostCache::Entry entry;
-  if (!cache_.find(fingerprint, &entry)) return;  // never published (cache off)
-  if (std::bit_cast<std::uint64_t>(entry.cost.cost_s) ==
-      std::bit_cast<std::uint64_t>(used_cost_s)) {
-    return;
-  }
-  delta_mismatches_.fetch_add(1, std::memory_order_relaxed);
-  KF_CHECK(false, "delta cross-check mismatch at " << site << ": used "
-                      << used_cost_s << ", cache holds " << entry.cost.cost_s
-                      << " (fingerprint " << fingerprint << ")");
-}
-
-Objective::MergeDelta Objective::merge_delta_impl(const FusionPlan& plan, int gi,
-                                                  int gj, double cost_i,
-                                                  double cost_j,
-                                                  bool cross_check_components) const {
-  const std::span<const KernelId> a = plan.group(gi);
-  const std::span<const KernelId> b = plan.group(gj);
-  // The union's fingerprint is mixed commutatively straight from the two
-  // member spans — identical to group_fingerprint of the sorted union, with
-  // no materialized copy on the (dominant) cache-hit path.
-  std::uint64_t h = 0x243f6a8885a308d3ULL;
-  for (KernelId k : a) {
-    h += mix64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k)) +
-               0x9e3779b97f4a7c15ULL);
-  }
-  for (KernelId k : b) {
-    h += mix64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k)) +
-               0x9e3779b97f4a7c15ULL);
-  }
-  const std::uint64_t fp =
-      mix64(h ^ (static_cast<std::uint64_t>(a.size() + b.size()) << 32));
-
-  MergeDelta out;
-  if (peek_group_cost(fp, &out.merged)) {
-    out.cache_hit = true;
-    delta_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    const SortedUnion merged(a, b);
-    out.merged = force_group_cost(fp, merged.view());
-  }
-  out.delta_s = (out.merged.cost_s - cost_i) - cost_j;
-
-  if (options_.cross_check_deltas) {
-    // Algebraic check of the span-mixing shortcut itself...
-    const SortedUnion merged(a, b);
-    if (group_fingerprint(merged.view()) != fp) {
-      delta_mismatches_.fetch_add(1, std::memory_order_relaxed);
-      KF_CHECK(false, "merge_delta union fingerprint disagrees with "
-                      "group_fingerprint of the materialized union");
-    }
-    // ... and 0-ULP agreement of every cached component with the values the
-    // delta was built from (catches stale caller-side rows).
-    if (options_.enable_cache && cross_check_components) {
-      cross_check(group_fingerprint(a), cost_i, "merge_delta:gi");
-      cross_check(group_fingerprint(b), cost_j, "merge_delta:gj");
-      cross_check(fp, out.merged.cost_s, "merge_delta:merged");
-    }
-  }
-  return out;
-}
-
-Objective::MergeDelta Objective::merge_delta(const FusionPlan& plan, int gi,
-                                             int gj) const {
-  const double cost_i = group_cost(plan.group(gi)).cost_s;
-  const double cost_j = group_cost(plan.group(gj)).cost_s;
-  return merge_delta_impl(plan, gi, gj, cost_i, cost_j, true);
-}
-
-Objective::MergeDelta Objective::merge_delta(const FusionPlan& plan, int gi,
-                                             int gj,
-                                             std::span<const double> group_costs) const {
-  KF_REQUIRE(static_cast<int>(group_costs.size()) == plan.num_groups(),
-             "group_costs has " << group_costs.size() << " rows, plan has "
-                                << plan.num_groups() << " groups");
-  return merge_delta_impl(plan, gi, gj,
-                          group_costs[static_cast<std::size_t>(gi)],
-                          group_costs[static_cast<std::size_t>(gj)], true);
-}
-
-double Objective::plan_cost_with_memo(const FusionPlan& plan,
-                                      const GroupCostMemo& memo,
-                                      GroupCostMemo* memo_out) const {
-  KF_REQUIRE(memo_out != &memo, "memo_out must not alias memo");
-  const int n = plan.num_groups();
-  if (memo.empty() && n > 0) {
-    delta_full_recosts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (memo_out != nullptr) {
-    memo_out->clear();
-    memo_out->reserve(static_cast<std::size_t>(n));
-  }
-  long memo_hits = 0;
-  long cache_hits = 0;
-  double total = 0.0;
-  for (int g = 0; g < n; ++g) {
-    const std::uint64_t fp = group_fingerprint(plan.group(g));
-    double c;
-    if (memo_lookup(memo, fp, &c)) {
-      ++memo_hits;
-      if (options_.cross_check_deltas && options_.enable_cache) {
-        cross_check(fp, c, "plan_cost_with_memo");
-      }
-    } else {
-      GroupCostCache::Entry entry;
-      if (cache_.find(fp, &entry)) {
-        c = entry.cost.cost_s;
-        ++cache_hits;
-      } else {
-        c = force_group_cost(fp, plan.group(g)).cost_s;
-      }
-    }
-    // Summed in group order, exactly as plan_cost does — bit-identical.
-    total += c;
-    if (memo_out != nullptr) memo_out->emplace_back(fp, c);
-  }
-  // Counter parity with the per-plan path, one update per call: every group
-  // is a logical evaluation; memo resolutions are caller-side hits.
-  evaluations_.fetch_add(n, std::memory_order_relaxed);
-  hits_.fetch_add(memo_hits + cache_hits, std::memory_order_relaxed);
-  incremental_hits_.fetch_add(memo_hits, std::memory_order_relaxed);
-  delta_hits_.fetch_add(memo_hits, std::memory_order_relaxed);
-  if (memo_out != nullptr) std::sort(memo_out->begin(), memo_out->end());
-  return total;
-}
-
 double Objective::baseline_cost() const {
   double total = 0.0;
   for (double t : original_times_) total += t;
@@ -560,9 +399,6 @@ Objective::CacheStats Objective::cache_stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.incremental_hits = incremental_hits_.load(std::memory_order_relaxed);
   stats.duplicate_misses = duplicate_misses_.load(std::memory_order_relaxed);
-  stats.delta_hits = delta_hits_.load(std::memory_order_relaxed);
-  stats.delta_full_recosts = delta_full_recosts_.load(std::memory_order_relaxed);
-  stats.delta_mismatches = delta_mismatches_.load(std::memory_order_relaxed);
   stats.shard_contention = cache_.contention();
   stats.quarantined = cache_.quarantined_count();
   stats.entries = cache_.size();
@@ -580,9 +416,6 @@ void Objective::reset_counters() noexcept {
   misses_.store(0);
   incremental_hits_.store(0);
   duplicate_misses_.store(0);
-  delta_hits_.store(0);
-  delta_full_recosts_.store(0);
-  delta_mismatches_.store(0);
   faults_.store(0);
 }
 

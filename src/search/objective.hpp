@@ -22,9 +22,8 @@
 // evaluate only those under OpenMP, then score all plans with pure cache
 // reads. Results are bit-identical to per-plan evaluation in any thread
 // count: every group cost is a pure function of the member set, and each
-// plan sums its groups in group order either way. The peek/force primitives
-// the batch path is built from are public so the HGGA's incremental
-// pre-pass (per-Individual group-cost maps) can keep the counters honest.
+// plan sums its groups in group order either way. group_cost, plan_cost and
+// plan_costs are the only ways a search prices a plan.
 //
 // Fault isolation: at the paper's scale (hours, millions of evaluations) a
 // single throwing candidate must not abort the run. With quarantine_faults
@@ -60,20 +59,6 @@ class Objective {
     bool quarantine_faults = true;
     /// Lock stripes of the group-cost cache (rounded up to a power of two).
     int cache_shards = GroupCostCache::kDefaultShards;
-    /// Master switch for the delta-costing engine: searches cost single-merge
-    /// moves through merge_delta / plan_cost_with_memo instead of full-plan
-    /// recosting. Results are bit-identical either way (see DESIGN.md item
-    /// 18); the switch exists for the equivalence tests and the bench.
-    bool delta_costing = true;
-    /// Debug cross-check: every merge_delta / plan_cost_with_memo re-resolves
-    /// its cached components from the shared cache and asserts bitwise (0
-    /// ULP) agreement, counting failures in CacheStats::delta_mismatches.
-    /// Defaults on in debug builds; only effective while the cache is on.
-#ifndef NDEBUG
-    bool cross_check_deltas = true;
-#else
-    bool cross_check_deltas = false;
-#endif
   };
 
   /// All referees must outlive the objective.
@@ -84,23 +69,8 @@ class Objective {
 
   using GroupCost = kf::GroupCost;
 
-  /// Caller-side (fingerprint -> cost_s) memo, sorted by fingerprint: one
-  /// entry per group of the plan it annotates. Flat + sorted because it is
-  /// tiny, rebuilt in one pass and probed with a binary search — this is the
-  /// per-Individual memo type the HGGA introduced, promoted here so every
-  /// search method can ride the same delta-costing state.
-  using GroupCostMemo = std::vector<std::pair<std::uint64_t, double>>;
-
-  /// Result of costing a single-merge move incrementally.
-  struct MergeDelta {
-    GroupCost merged;      ///< cost of the union group
-    double delta_s = 0.0;  ///< plan-cost change: (merged - cost(gi)) - cost(gj)
-    bool cache_hit = false;  ///< merged group resolved without a model run
-  };
-
   /// Order-insensitive member-set fingerprint: per-member avalanche mix
-  /// combined commutatively, no allocation, no sort. Exposed so callers
-  /// (HGGA incremental costing) can key their own per-plan memos.
+  /// combined commutatively, no allocation, no sort.
   static std::uint64_t group_fingerprint(std::span<const KernelId> group) noexcept;
 
   GroupCost group_cost(std::span<const KernelId> group) const;
@@ -115,70 +85,11 @@ class Objective {
   /// bit-identical to calling plan_cost on each.
   std::vector<double> plan_costs(std::span<const FusionPlan> plans) const;
 
-  // ---- delta costing (see DESIGN.md item 18) ----
-  //
-  // Plan cost is a sum of group-local terms, so a single merge move only
-  // changes two of them: cost(plan') = cost(plan) - cost(gi) - cost(gj)
-  // + cost(gi ∪ gj). merge_delta prices exactly that union; full candidate
-  // costs stay bit-identical because callers re-sum the per-group values in
-  // the candidate's group order (plan_cost_with_memo) instead of folding the
-  // delta into a running total, which float non-associativity would skew.
-
-  /// Incrementally costs the merge of groups gi and gj of `plan`: the union
-  /// group's fingerprint is mixed commutatively from the two member spans
-  /// (no allocation), answered from the shared cache when seen before. The
-  /// component costs cost(gi)/cost(gj) are resolved through the cache.
-  /// Counts one logical evaluation per resolved group.
-  MergeDelta merge_delta(const FusionPlan& plan, int gi, int gj) const;
-
-  /// Same, with the two component costs already known to the caller (e.g.
-  /// greedy's maintained per-row costs): only the union group is resolved —
-  /// one logical evaluation — and `group_costs[gi]/[gj]` enter delta_s
-  /// verbatim. With cross-checking on, the supplied values are verified
-  /// bitwise against the cache, which catches stale-row bugs.
-  MergeDelta merge_delta(const FusionPlan& plan, int gi, int gj,
-                         std::span<const double> group_costs) const;
-
-  /// Full-plan cost through a caller-side memo: each group resolves from
-  /// `memo` first (no shared-cache touch — counted as an incremental hit),
-  /// then the cache, then a model evaluation. The groups are summed in group
-  /// order, exactly as plan_cost does, so the result is bit-identical to a
-  /// full recost. When `memo_out` is non-null it is rebuilt to exactly this
-  /// plan's groups (sorted by fingerprint) so the caller can carry the state
-  /// to the next move; `memo_out` must not alias `memo` (keep a scratch and
-  /// swap). An empty `memo` counts one CacheStats::delta_full_recosts (the
-  /// delta engine fell back to a cold full recost).
-  double plan_cost_with_memo(const FusionPlan& plan, const GroupCostMemo& memo,
-                             GroupCostMemo* memo_out = nullptr) const;
-
-  /// True when searches should take the incremental-move path.
-  bool delta_costing() const noexcept { return options_.delta_costing; }
-
-  /// Audits one cold full recost performed by a delta-enabled search outside
-  /// plan_cost_with_memo (e.g. greedy initializing its per-row costs).
-  void note_delta_full_recost() const noexcept {
-    delta_full_recosts_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // ---- evaluation-engine primitives (plan_costs is built from these; the
-  //      HGGA batched pre-pass uses them directly) ----
-
-  /// Cache-only lookup: counts one logical evaluation; on a hit fills `out`
-  /// (quarantined groups hit too — their entry carries the penalty cost)
-  /// and counts a cache hit. Never evaluates the model.
-  bool peek_group_cost(std::uint64_t fingerprint, GroupCost* out) const;
-
-  /// Evaluates a group whose fingerprint just missed and publishes it to
-  /// the cache: counts a model evaluation (miss), quarantines on a throw.
-  /// Losing an insert race is counted in CacheStats::duplicate_misses.
-  GroupCost force_group_cost(std::uint64_t fingerprint,
-                             std::span<const KernelId> group) const;
-
-  /// Credits `n` group queries answered from caller-side state — the
-  /// HGGA's per-Individual memos, or duplicates resolved from a batch's
-  /// own pending evaluations — without touching the shared cache, so
-  /// evaluations/hit-rate statistics stay comparable across modes.
-  void note_incremental_hits(long n) const noexcept;
+  /// Observer-side lookup for decision provenance: the cached entry on a
+  /// hit; on a miss the cost is computed but not published, and a runtime
+  /// failure is priced at the quarantine penalty. Touches no counter and no
+  /// cache entry, so recording a decision cannot change what it observes.
+  GroupCost inspect_group_cost(std::span<const KernelId> group) const;
 
   /// Telemetry-only attribution for decision provenance: name of the
   /// dominant TimeBreakdown component of the group's simulated launch
@@ -203,14 +114,14 @@ class Objective {
     long evaluations = 0;       ///< logical group-cost queries
     long hits = 0;              ///< answered without a model evaluation
     long misses = 0;            ///< model evaluations
-    long incremental_hits = 0;  ///< subset of hits served by caller-side memos
+    long incremental_hits = 0;  ///< subset of hits plan_costs answered from
+                                ///< its own in-batch dedup table
     long duplicate_misses = 0;  ///< concurrent double-computes (insert lost)
     long shard_contention = 0;  ///< cache lock acquisitions that had to wait
     long quarantined = 0;       ///< distinct quarantined member sets
-    long delta_hits = 0;  ///< queries the delta engine answered incrementally
-                          ///< (memo resolutions + merge_delta union peeks)
-    long delta_full_recosts = 0;  ///< delta-engine falls back to a cold full recost
-    long delta_mismatches = 0;  ///< cross-check disagreements (always 0)
+    /// Always 0: kept only because the end-to-end benchmark's digest prints them.
+    long delta_hits = 0;
+    long delta_full_recosts = 0;
     std::size_t entries = 0;    ///< distinct cached member sets
     int shards = 0;
 
@@ -251,20 +162,21 @@ class Objective {
   mutable std::atomic<long> misses_{0};
   mutable std::atomic<long> incremental_hits_{0};
   mutable std::atomic<long> duplicate_misses_{0};
-  mutable std::atomic<long> delta_hits_{0};
-  mutable std::atomic<long> delta_full_recosts_{0};
-  mutable std::atomic<long> delta_mismatches_{0};
   mutable std::atomic<long> faults_{0};
   mutable std::atomic<long> fused_misses_{0};  ///< disagreement-sample stride counter
   mutable GroupCostCache cache_;
 
+  /// Cache-only lookup: counts one logical evaluation; on a hit fills `out`
+  /// (quarantined groups hit too — their entry carries the penalty cost)
+  /// and counts a cache hit. Never evaluates the model.
+  bool peek_group_cost(std::uint64_t fingerprint, GroupCost* out) const;
+  /// Evaluates a group whose fingerprint just missed and publishes it to
+  /// the cache: counts a model evaluation (miss), quarantines on a throw.
+  /// Losing an insert race is counted in CacheStats::duplicate_misses.
+  GroupCost force_group_cost(std::uint64_t fingerprint,
+                             std::span<const KernelId> group) const;
   GroupCost compute_group_cost(std::span<const KernelId> group) const;
   GroupCost quarantine_cost(std::span<const KernelId> group) const;
-  MergeDelta merge_delta_impl(const FusionPlan& plan, int gi, int gj,
-                              double cost_i, double cost_j,
-                              bool cross_check_components) const;
-  void cross_check(std::uint64_t fingerprint, double used_cost_s,
-                   const char* site) const;
   void note_fault(std::span<const KernelId> group, std::uint64_t fingerprint,
                   const char* what) const;
   void maybe_sample_projection(std::span<const KernelId> group,

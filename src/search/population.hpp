@@ -4,9 +4,9 @@
 //
 // The arena exists because offspring churn used to dominate the breed span:
 // every generation allocated a fresh vector<Individual>, and every child a
-// fresh plan (one heap vector per group before the FusionPlan SoA refactor)
-// plus a fresh memo. Population double-buffers two individual pools and
-// recycles them generation over generation — building a child is then pure
+// fresh plan (one heap vector per group before the FusionPlan SoA refactor).
+// Population double-buffers two individual pools and recycles them
+// generation over generation — building a child is then pure
 // copy-assignment into vectors that already own their capacity, and
 // FlatGroupList gives crossover a group scratch with the same property.
 #pragma once
@@ -15,7 +15,6 @@
 
 #include "fusion/fusion_plan.hpp"
 #include "fusion/legality.hpp"
-#include "search/objective.hpp"
 #include "util/rng.hpp"
 
 namespace kf {
@@ -38,13 +37,6 @@ int repair_plan(const LegalityChecker& checker, FusionPlan& plan);
 struct Individual {
   FusionPlan plan;
   double cost = 0.0;
-  /// Incremental-costing memo: (group fingerprint -> cost_s), sorted by
-  /// fingerprint. Before evaluation it holds the union inherited from the
-  /// parents, so groups that crossover/mutation left untouched resolve
-  /// without even a cache lookup; after evaluation it is exactly this
-  /// plan's groups. Entries can never go stale — a fingerprint's cost is a
-  /// pure function of the member set.
-  Objective::GroupCostMemo group_costs;
 };
 
 /// Flat SoA scratch list of groups (members + boundary offsets): the group
@@ -89,9 +81,9 @@ class FlatGroupList {
 
 /// Double-buffered population arena: the current generation lives in one
 /// pool while offspring are built into recycled slots of the other;
-/// promote_offspring() swaps the roles. A recycled slot's plan and memo
-/// keep their heap buffers, so writing a child into it allocates nothing
-/// once the pools are warm. Callers must assign all of a slot's fields —
+/// promote_offspring() swaps the roles. A recycled slot's plan keeps its
+/// heap buffers, so writing a child into it allocates nothing once the
+/// pools are warm. Callers must assign all of a slot's fields —
 /// a fresh slot carries the previous generation's leftovers by design.
 class Population {
  public:

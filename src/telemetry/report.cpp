@@ -298,11 +298,6 @@ void RunReport::ingest_metrics(const JsonValue& metrics) {
       run->number_or("cache_duplicate_misses", cache_duplicate_misses));
   cache_shard_contention = static_cast<long>(
       run->number_or("cache_shard_contention", cache_shard_contention));
-  delta_hits = static_cast<long>(run->number_or("delta_hits", delta_hits));
-  delta_full_recosts =
-      static_cast<long>(run->number_or("delta_full_recosts", delta_full_recosts));
-  delta_mismatches =
-      static_cast<long>(run->number_or("delta_mismatches", delta_mismatches));
 }
 
 std::string RunReport::render(int top_k) const {
@@ -328,20 +323,12 @@ std::string RunReport::render(int top_k) const {
          << "% hit rate (" << cache_hits << " hits / " << cache_misses
          << " model evaluations";
       if (cache_incremental_hits > 0) {
-        os << ", " << cache_incremental_hits << " memo-resolved";
+        os << ", " << cache_incremental_hits << " resolved in-batch";
       }
       if (cache_duplicate_misses > 0) {
         os << ", " << cache_duplicate_misses << " duplicate computes";
       }
       os << ")\n";
-    }
-    if (delta_hits > 0 || delta_full_recosts > 0) {
-      os << "delta costing: " << delta_hits << " merge moves resolved incrementally, "
-         << delta_full_recosts << " cold recosts";
-      if (delta_mismatches > 0) {
-        os << ", " << delta_mismatches << " CROSS-CHECK MISMATCHES";
-      }
-      os << "\n";
     }
     if (resumed) os << "resumed from checkpoint\n";
     if (checkpoint_saves > 0) os << "checkpoints written: " << checkpoint_saves << "\n";
@@ -557,11 +544,6 @@ JsonValue RunReport::to_json() const {
     run.set("cache_incremental_hits", cache_incremental_hits);
     run.set("cache_duplicate_misses", cache_duplicate_misses);
     run.set("cache_shard_contention", cache_shard_contention);
-  }
-  if (delta_hits > 0 || delta_full_recosts > 0 || delta_mismatches > 0) {
-    run.set("delta_hits", delta_hits);
-    run.set("delta_full_recosts", delta_full_recosts);
-    run.set("delta_mismatches", delta_mismatches);
   }
   root.set("run", std::move(run));
 

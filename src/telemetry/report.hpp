@@ -44,9 +44,6 @@ struct RunReport {
   long cache_incremental_hits = 0;
   long cache_duplicate_misses = 0;
   long cache_shard_contention = 0;
-  long delta_hits = 0;
-  long delta_full_recosts = 0;
-  long delta_mismatches = 0;
 
   // ---- per-generation convergence (from "generation" events) ----
   struct GenerationSample {

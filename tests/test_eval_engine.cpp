@@ -1,9 +1,8 @@
 // The evaluation engine (see DESIGN.md "Evaluation engine"): commutative
 // allocation-free fingerprints, the sharded group-cost cache with
-// quarantine folded into entries, the peek/force counter contract,
-// batched deduplicated population scoring (plan_costs), and the HGGA's
-// incremental costing — including the bit-identity guarantees across
-// thread counts and batched vs per-plan evaluation.
+// quarantine folded into entries, the evaluation counter contract, batched
+// deduplicated population scoring (plan_costs), and golden pins on what
+// every search method returns — bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +10,8 @@
 #include <bit>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -182,38 +183,42 @@ TEST(GroupCostCache, ConcurrentInsertFindIsCoherent) {
   }
 }
 
-// ---------- peek / force counter contract ----------
+// ---------- evaluation counter contract ----------
 
 TEST(EvalEngine, PeekForceCounterContract) {
+  // Every group query is one logical evaluation; the first query of a
+  // member set is a model evaluation (miss), every later one a cache hit.
   EngineRig rig = motivating_rig();
   rig.objective.reset_counters();
   const std::vector<KernelId> group{rig.program.find_kernel("Kern_C"),
                                     rig.program.find_kernel("Kern_E")};
-  const std::uint64_t fp = Objective::group_fingerprint(group);
 
-  Objective::GroupCost cost;
-  EXPECT_FALSE(rig.objective.peek_group_cost(fp, &cost));  // miss: no eval run
+  const Objective::GroupCost first = rig.objective.group_cost(group);
   EXPECT_EQ(rig.objective.evaluations(), 1);
-  EXPECT_EQ(rig.objective.model_evaluations(), 0);
-
-  const Objective::GroupCost forced = rig.objective.force_group_cost(fp, group);
   EXPECT_EQ(rig.objective.model_evaluations(), 1);
 
-  ASSERT_TRUE(rig.objective.peek_group_cost(fp, &cost));
-  EXPECT_DOUBLE_EQ(cost.cost_s, forced.cost_s);
-  EXPECT_EQ(cost.profitable, forced.profitable);
+  const Objective::GroupCost again = rig.objective.group_cost(group);
+  EXPECT_DOUBLE_EQ(again.cost_s, first.cost_s);
+  EXPECT_EQ(again.profitable, first.profitable);
   const Objective::CacheStats stats = rig.objective.cache_stats();
   EXPECT_EQ(stats.evaluations, 2);
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.incremental_hits, 0);
   EXPECT_EQ(stats.duplicate_misses, 0);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_NEAR(stats.hit_rate(), 0.5, 1e-12);
 
-  rig.objective.note_incremental_hits(5);
+  // The provenance lookup reads the entry without moving any counter.
+  EXPECT_DOUBLE_EQ(rig.objective.inspect_group_cost(group).cost_s, first.cost_s);
+  const std::vector<KernelId> unseen{rig.program.find_kernel("Kern_A"),
+                                     rig.program.find_kernel("Kern_B")};
+  (void)rig.objective.inspect_group_cost(unseen);
   const Objective::CacheStats after = rig.objective.cache_stats();
-  EXPECT_EQ(after.evaluations, 7);
-  EXPECT_EQ(after.hits, 6);
-  EXPECT_EQ(after.incremental_hits, 5);
-  EXPECT_NEAR(after.hit_rate(), 6.0 / 7.0, 1e-12);
+  EXPECT_EQ(after.evaluations, 2);
+  EXPECT_EQ(after.hits, 1);
+  EXPECT_EQ(after.misses, 1);
+  EXPECT_EQ(after.entries, 1u);  // the unseen group was not published
 }
 
 TEST(EvalEngine, QuarantinedEntriesHitTheCache) {
@@ -290,9 +295,20 @@ TEST(EvalEngine, PlanCostsCountersMatchPerPlanSemantics) {
   EXPECT_EQ(batched.hits, serial.hits);
   EXPECT_EQ(batched.misses, serial.misses);
   EXPECT_EQ(batched.entries, serial.entries);
+  // Repeats of a member set within the batch resolve from the batch's own
+  // table: exactly the queries beyond each fingerprint's first.
+  std::set<std::uint64_t> distinct;
+  for (const FusionPlan& plan : plans_a) {
+    for (int g = 0; g < plan.num_groups(); ++g) {
+      distinct.insert(Objective::group_fingerprint(plan.group(g)));
+    }
+  }
+  EXPECT_EQ(batched.incremental_hits,
+            batched.evaluations - static_cast<long>(distinct.size()));
+  EXPECT_EQ(serial.incremental_hits, 0);
 }
 
-// ---------- HGGA determinism across modes and thread counts ----------
+// ---------- HGGA determinism and counters ----------
 
 HggaConfig small_hgga(std::uint64_t seed = 0x5eed) {
   HggaConfig config;
@@ -311,17 +327,6 @@ void expect_same_result(const SearchResult& a, const SearchResult& b) {
   for (std::size_t i = 0; i < a.history.size(); ++i) {
     EXPECT_EQ(a.history[i], b.history[i]) << "generation " << i;
   }
-}
-
-TEST(EvalEngine, HggaBatchedMatchesUnbatchedBitForBit) {
-  EngineRig rig_batched = suite_rig(16, 5);
-  EngineRig rig_serial = suite_rig(16, 5);
-  HggaConfig config = small_hgga();
-  config.batched_evaluation = true;
-  const SearchResult batched = Hgga(rig_batched.objective, config).run();
-  config.batched_evaluation = false;
-  const SearchResult serial = Hgga(rig_serial.objective, config).run();
-  expect_same_result(batched, serial);
 }
 
 TEST(EvalEngine, HggaDeterministicAcrossThreadCounts) {
@@ -343,110 +348,25 @@ TEST(EvalEngine, HggaDeterministicAcrossThreadCounts) {
 }
 
 TEST(EvalEngine, HggaCountersBalanceAcrossModes) {
-  // evaluations == hits + misses in both modes, and the incremental memo
-  // never answers more queries than there were hits. With delta costing
-  // off as well, nothing produces caller-side hits in unbatched mode.
-  for (const bool batched : {true, false}) {
-    TestSuiteConfig cfg;
-    cfg.kernels = 16;
-    cfg.arrays = 32;
-    cfg.seed = 5;
-    cfg.grid = GridDims{256, 128, 16};
-    Objective::Options options;
-    options.delta_costing = batched;
-    EngineRig rig(make_testsuite_program(cfg), options);
-    HggaConfig config = small_hgga();
-    config.batched_evaluation = batched;
-    (void)Hgga(rig.objective, config).run();
-    const Objective::CacheStats stats = rig.objective.cache_stats();
-    EXPECT_EQ(stats.evaluations, stats.hits + stats.misses) << batched;
-    EXPECT_LE(stats.incremental_hits, stats.hits) << batched;
-    EXPECT_GT(stats.hit_rate(), 0.5) << batched;
-    if (!batched) {
-      EXPECT_EQ(stats.incremental_hits, 0);
-      EXPECT_EQ(stats.delta_hits, 0);
-    }
-    EXPECT_EQ(stats.delta_mismatches, 0) << batched;
-  }
-}
-
-// ---------- delta costing (DESIGN.md item 18) ----------
-
-EngineRig suite_rig_with(int kernels, std::uint64_t seed, Objective::Options options) {
-  TestSuiteConfig cfg;
-  cfg.kernels = kernels;
-  cfg.arrays = kernels * 2;
-  cfg.seed = seed;
-  cfg.grid = GridDims{256, 128, 16};
-  return EngineRig(make_testsuite_program(cfg), options);
-}
-
-Objective::Options delta_on_options() {
-  Objective::Options options;
-  options.delta_costing = true;
-  options.cross_check_deltas = true;  // explicit: Release defaults it off
-  return options;
-}
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-TEST(DeltaCosting, MergeDeltaMatchesFullRecostBitForBit) {
-  // For random plans and every merge pair (gi, gj): re-summing the plan's
-  // per-group costs with the union cost substituted at gi and gj's row
-  // skipped must equal plan_cost of the actually-merged plan bit for bit,
-  // and delta_s must be exactly (merged - rows[gi]) - rows[gj].
-  EngineRig rig = suite_rig_with(14, 11, delta_on_options());
-  Rng rng(0x77);
-  for (int trial = 0; trial < 6; ++trial) {
-    const FusionPlan plan = random_legal_plan(rig.checker, rng, 0.15 + 0.1 * trial);
-    const int n = plan.num_groups();
-    if (n < 2) continue;
-    std::vector<double> rows(static_cast<std::size_t>(n));
-    for (int g = 0; g < n; ++g) rows[g] = rig.objective.group_cost(plan.group(g)).cost_s;
-    for (int gi = 0; gi < n; ++gi) {
-      for (int gj = gi + 1; gj < n; ++gj) {
-        const Objective::MergeDelta d = rig.objective.merge_delta(plan, gi, gj);
-        EXPECT_EQ(bits(d.delta_s), bits((d.merged.cost_s - rows[gi]) - rows[gj]));
-        // Supplying the rows must not change the priced union.
-        const Objective::MergeDelta d2 = rig.objective.merge_delta(plan, gi, gj, rows);
-        EXPECT_EQ(bits(d2.merged.cost_s), bits(d.merged.cost_s));
-        FusionPlan merged = plan;
-        merged.merge_groups(gi, gj);
-        double replay = 0.0;
-        for (int g = 0; g < n; ++g) {
-          if (g == gj) continue;
-          replay += g == gi ? d.merged.cost_s : rows[g];
-        }
-        EXPECT_EQ(bits(replay), bits(rig.objective.plan_cost(merged)))
-            << "trial " << trial << " merge (" << gi << "," << gj << ")";
-      }
-    }
-  }
-  EXPECT_EQ(rig.objective.cache_stats().delta_mismatches, 0);
-}
-
-TEST(DeltaCosting, PlanCostWithMemoMatchesPlanCost) {
-  EngineRig rig = suite_rig_with(16, 13, delta_on_options());
-  Rng rng(0x99);
-  Objective::GroupCostMemo memo, scratch;
-  FusionPlan plan = random_legal_plan(rig.checker, rng, 0.5);
-  // Cold start (empty memo) is a counted full recost, still bit-identical.
-  const double cold = rig.objective.plan_cost_with_memo(plan, {}, &memo);
-  EXPECT_EQ(bits(cold), bits(rig.objective.plan_cost(plan)));
-  EXPECT_GE(rig.objective.cache_stats().delta_full_recosts, 1);
-  // A chain of merge moves, each scored through the carried memo.
-  for (int step = 0; step < 8 && plan.num_groups() >= 2; ++step) {
-    const int gi = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(
-        plan.num_groups() - 1)));
-    plan.merge_groups(gi, gi + 1);
-    const double warm = rig.objective.plan_cost_with_memo(plan, memo, &scratch);
-    EXPECT_EQ(bits(warm), bits(rig.objective.plan_cost(plan))) << step;
-    std::swap(memo, scratch);
-  }
+  // evaluations == hits + misses, and plan_costs' in-batch resolutions (a
+  // subset of the hits) engage: offspring share most of their groups.
+  EngineRig rig = suite_rig(16, 5);
+  (void)Hgga(rig.objective, small_hgga()).run();
   const Objective::CacheStats stats = rig.objective.cache_stats();
-  EXPECT_GT(stats.delta_hits, 0);  // the memo actually answered queries
-  EXPECT_EQ(stats.delta_mismatches, 0);
+  EXPECT_EQ(stats.evaluations, stats.hits + stats.misses);
+  EXPECT_GT(stats.incremental_hits, 0);
+  EXPECT_LE(stats.incremental_hits, stats.hits);
+  EXPECT_GT(stats.hit_rate(), 0.5);
+  EXPECT_EQ(stats.delta_hits, 0);
+  EXPECT_EQ(stats.delta_full_recosts, 0);
 }
+
+// ---------- golden pins: what every search method returns ----------
+//
+// Recorded from the five search methods before their costing paths were
+// merged into one: plans, bitwise costs and evaluation counts must not move
+// when a costing path changes, at any thread count. Exhaustive runs on 8
+// kernels, the others on the 16-kernel Table V program (seed 7).
 
 enum class Method { Greedy, Hgga, Annealing, Exhaustive, Random };
 
@@ -476,71 +396,71 @@ SearchResult run_method(Method method, EngineRig& rig) {
   std::abort();
 }
 
-TEST(DeltaCosting, AllMethodsBitIdenticalDeltaOnVsOffAcrossThreadCounts) {
-  // The acceptance contract: every search method returns the same plan and
-  // the same (bitwise) cost with delta costing on or off, at any thread
-  // count, with the debug cross-check armed the whole time.
-  for (const Method method : {Method::Greedy, Method::Hgga, Method::Annealing,
-                              Method::Exhaustive, Method::Random}) {
-    const int kernels = method == Method::Exhaustive ? 8 : 16;
-    Objective::Options off;
-    off.delta_costing = false;
-    EngineRig rig_off = suite_rig_with(kernels, 7, off);
-    const SearchResult reference = run_method(method, rig_off);
+struct Pin {
+  Method method;
+  const char* plan;        ///< best.to_string()
+  std::uint64_t cost_bits;  ///< bit pattern of best_cost_s
+  long evaluations;
+  long model_evaluations;
+  long faults;
+};
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Runs `pin.method` at 1, 4 and 8 OpenMP threads (under 30% objective
+/// fault injection when `faulty`) and checks every run against the pin.
+void expect_pinned(const Pin& pin, bool faulty) {
 #ifdef _OPENMP
-    const int saved = omp_get_max_threads();
-    const int thread_counts[] = {1, 4, 8};
+  const int saved = omp_get_max_threads();
+  const int thread_counts[] = {1, 4, 8};
 #else
-    const int thread_counts[] = {1};
+  const int thread_counts[] = {1};
 #endif
-    for (const int threads : thread_counts) {
+  for (const int threads : thread_counts) {
 #ifdef _OPENMP
-      omp_set_num_threads(threads);
+    omp_set_num_threads(threads);
 #endif
-      EngineRig rig_on = suite_rig_with(kernels, 7, delta_on_options());
-      const SearchResult got = run_method(method, rig_on);
-      const int label = static_cast<int>(method) * 100 + threads;
-      EXPECT_EQ(got.best.groups(), reference.best.groups()) << label;
-      EXPECT_EQ(bits(got.best_cost_s), bits(reference.best_cost_s)) << label;
-      EXPECT_EQ(got.generations, reference.generations) << label;
-      const Objective::CacheStats stats = rig_on.objective.cache_stats();
-      EXPECT_EQ(stats.delta_mismatches, 0) << label;
-      if (method == Method::Greedy || method == Method::Hgga ||
-          method == Method::Annealing) {
-        EXPECT_GT(stats.delta_hits, 0) << label;  // the delta engine engaged
-      }
-    }
-#ifdef _OPENMP
-    omp_set_num_threads(saved);
-#endif
+    std::optional<ScopedFaultInjection> arm;
+    if (faulty) arm.emplace(FaultPlan{FaultSite::Objective, 0.3, 21});
+    EngineRig rig = suite_rig(pin.method == Method::Exhaustive ? 8 : 16, 7);
+    const SearchResult got = run_method(pin.method, rig);
+    const int label = static_cast<int>(pin.method) * 100 + threads;
+    EXPECT_EQ(got.best.to_string(), pin.plan) << label;
+    EXPECT_EQ(bits(got.best_cost_s), pin.cost_bits) << label;
+    EXPECT_EQ(got.evaluations, pin.evaluations) << label;
+    EXPECT_EQ(got.model_evaluations, pin.model_evaluations) << label;
+    EXPECT_EQ(rig.objective.faults(), pin.faults) << label;
   }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
 }
 
-TEST(DeltaCosting, BitIdenticalUnderFaultQuarantine) {
-  // Injected evaluation faults quarantine groups at a penalty cost; the
-  // delta path must resolve quarantined entries from the cache exactly like
-  // the full-recost path, so searches stay bit-identical and fault counts
-  // match. FaultInjector decisions are pure in (seed, site, key), so both
-  // modes see the same groups fault.
-  for (const Method method : {Method::Greedy, Method::Annealing}) {
-    SearchResult results[2];
-    long faults[2] = {0, 0};
-    for (const bool delta : {false, true}) {
-      ScopedFaultInjection arm(FaultPlan{FaultSite::Objective, 0.3, 21});
-      Objective::Options options = delta_on_options();
-      options.delta_costing = delta;
-      EngineRig rig = suite_rig_with(16, 7, options);
-      results[delta] = run_method(method, rig);
-      faults[delta] = rig.objective.faults();
-      EXPECT_EQ(rig.objective.cache_stats().delta_mismatches, 0);
-    }
-    EXPECT_GT(faults[0], 0);  // the injection actually fired
-    EXPECT_EQ(faults[0], faults[1]);
-    EXPECT_EQ(results[0].best.groups(), results[1].best.groups());
-    EXPECT_EQ(bits(results[0].best_cost_s), bits(results[1].best_cost_s));
-    EXPECT_EQ(results[0].fault_report.faults, results[1].fault_report.faults);
-  }
+TEST(CostingPins, AllMethodsMatchAcrossThreadCounts) {
+  const Pin pins[] = {
+      {Method::Greedy, "{0,1,2,3,4} {5,6,7,8,9,10,11} {12,13,14,15}",
+       0x3f49eb3efacccb48ULL, 226, 98, 0},
+      {Method::Hgga, "{0,1,2,3,6,7,12} {4,5} {8,9,10,11,13,14,15}",
+       0x3f4874d25fb3175cULL, 3248, 375, 0},
+      {Method::Annealing, "{0,1,2,3,4,5,6,8,9,14} {7,10,11,12,13,15}",
+       0x3f4beac06a0b2d99ULL, 9593, 65, 0},
+      {Method::Exhaustive, "{0,1,2,3,4,5,6,7}", 0x3f30dc4dbe0d3ec8ULL, 4140, 50, 0},
+      {Method::Random, "{0} {1,2,3} {4,5,6,7,8,9,10} {11,12,13,14,15}",
+       0x3f4c1bd91419561cULL, 3767, 390, 0},
+  };
+  for (const Pin& pin : pins) expect_pinned(pin, false);
+}
+
+TEST(CostingPins, FaultQuarantinedSearchesMatchAcrossThreadCounts) {
+  // FaultInjector decisions are pure in (seed, site, key), so the same
+  // groups fault in every run and quarantine at the same penalty cost.
+  const Pin pins[] = {
+      {Method::Greedy, "{0,1,2,3} {4} {5,6,7,8,9,10,11} {12,13,14,15}",
+       0x3f4a8fd8eee6f554ULL, 221, 96, 26},
+      {Method::Annealing, "{0,1,2,3,4,5,6} {7,8,9,10,11} {12,13,14,15}",
+       0x3f493aeb8ec6601cULL, 10848, 86, 23},
+  };
+  for (const Pin& pin : pins) expect_pinned(pin, true);
 }
 
 // ---------- population arena ----------
@@ -548,9 +468,9 @@ TEST(DeltaCosting, BitIdenticalUnderFaultQuarantine) {
 TEST(PopulationArena, SteadyStateGenerationsAllocateNothing) {
   // After warm-up, a generation of elite-style copies into recycled
   // offspring slots plus a promote must perform zero heap allocations:
-  // FusionPlan's SoA vectors and the per-Individual memos copy-assign into
-  // retained capacity, and promote_offspring only swaps the pools.
-  EngineRig rig = suite_rig_with(16, 13, delta_on_options());
+  // FusionPlan's SoA vectors copy-assign into retained capacity, and
+  // promote_offspring only swaps the pools.
+  EngineRig rig = suite_rig(16, 13);
   Rng rng(0x51);
   constexpr int kPop = 12;
   Population arena;
@@ -559,13 +479,6 @@ TEST(PopulationArena, SteadyStateGenerationsAllocateNothing) {
     Individual& slot = arena.next_offspring();
     slot.plan = random_legal_plan(rig.checker, rng, 0.5);
     slot.cost = rig.objective.plan_cost(slot.plan);
-    slot.group_costs.clear();
-    for (int g = 0; g < slot.plan.num_groups(); ++g) {
-      const std::span<const KernelId> group = slot.plan.group(g);
-      slot.group_costs.emplace_back(Objective::group_fingerprint(group),
-                                    rig.objective.group_cost(group).cost_s);
-    }
-    std::sort(slot.group_costs.begin(), slot.group_costs.end());
   }
   arena.promote_offspring();
   ASSERT_EQ(population.size(), static_cast<std::size_t>(kPop));

@@ -408,9 +408,20 @@ TEST(Observability, DisabledPathsAllocateNothing) {
 // ------------------------------------------------------ search bit-identity
 
 // Attaching the new sinks must not change what the search computes: same
-// seed, same best plan, same cost. (Counters like model_evaluations may
-// legitimately differ — the calibration pass consumes 1-in-64 samples —
-// so the comparison is over the search outcome, not the meters.)
+// seed, same best plan, same cost — and the same evaluation meters.
+
+void expect_same_counters(const SearchResult& traced, const Objective& instrumented,
+                          const SearchResult& plain, const Objective& bare) {
+  EXPECT_EQ(traced.evaluations, plain.evaluations);
+  EXPECT_EQ(traced.model_evaluations, plain.model_evaluations);
+  const Objective::CacheStats t = instrumented.cache_stats();
+  const Objective::CacheStats p = bare.cache_stats();
+  EXPECT_EQ(t.evaluations, p.evaluations);
+  EXPECT_EQ(t.hits, p.hits);
+  EXPECT_EQ(t.misses, p.misses);
+  EXPECT_EQ(t.entries, p.entries);
+}
+
 TEST(Observability, HggaSameSeedBitIdenticalWithSinksAttached) {
   const Program program = motivating_example();
   const DeviceSpec device = DeviceSpec::k20x();
@@ -439,12 +450,12 @@ TEST(Observability, HggaSameSeedBitIdenticalWithSinksAttached) {
   instrumented.set_telemetry(&telemetry);
   const SearchResult traced = Hgga(instrumented, cfg).run(nullptr, nullptr, &telemetry);
 
-  // The outcome is bit-identical; meters (evaluations, cache counters) may
-  // legitimately differ since provenance/calibration consume cached lookups.
+  // The outcome is bit-identical, and so are the meters.
   EXPECT_DOUBLE_EQ(traced.best_cost_s, plain.best_cost_s);
   EXPECT_DOUBLE_EQ(traced.baseline_cost_s, plain.baseline_cost_s);
   EXPECT_EQ(traced.generations, plain.generations);
   EXPECT_EQ(traced.best.to_string(), plain.best.to_string());
+  expect_same_counters(traced, instrumented, plain, bare);
 
   // ...and the sinks actually observed the run.
   EXPECT_GT(spans.recorded(), 0);
@@ -482,6 +493,7 @@ TEST(Observability, GreedyBitIdenticalWithSinksAttachedAndProvenanceRecorded) {
 
   EXPECT_DOUBLE_EQ(traced.best_cost_s, plain.best_cost_s);
   EXPECT_EQ(traced.best.to_string(), plain.best.to_string());
+  expect_same_counters(traced, instrumented, plain, bare);
 
   EXPECT_NE(find_row(spans.flame_table(), "search", "greedy.run"), nullptr);
   EXPECT_NE(find_row(spans.flame_table(), "search", "greedy.pass"), nullptr);

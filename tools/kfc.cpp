@@ -567,9 +567,6 @@ void write_metrics_file(const Options& opt, const SearchOutcome& out,
   run.set("cache_incremental_hits", out.cache.incremental_hits);
   run.set("cache_duplicate_misses", out.cache.duplicate_misses);
   run.set("cache_shard_contention", out.cache.shard_contention);
-  run.set("delta_hits", out.cache.delta_hits);
-  run.set("delta_full_recosts", out.cache.delta_full_recosts);
-  run.set("delta_mismatches", out.cache.delta_mismatches);
   root.set("run", std::move(run));
   const JsonValue series = metrics.to_json();
   for (const auto& [key, value] : series.members()) {
