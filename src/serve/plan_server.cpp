@@ -8,82 +8,13 @@
 
 #include "graph/array_expansion.hpp"
 #include "model/proposed_model.hpp"
+#include "search/population.hpp"
 #include "store/fingerprint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
-#include "util/string_util.hpp"
 
 namespace kf {
-
-const char* to_string(ServeRung rung) noexcept {
-  switch (rung) {
-    case ServeRung::StoreHit: return "store_hit";
-    case ServeRung::PolishedStored: return "polished_stored";
-    case ServeRung::FullSearch: return "full_search";
-    case ServeRung::TrivialFloor: return "trivial_floor";
-  }
-  return "?";
-}
-
-const char* to_string(AdmissionOutcome outcome) noexcept {
-  switch (outcome) {
-    case AdmissionOutcome::Admitted: return "admitted";
-    case AdmissionOutcome::Queued: return "queued";
-    case AdmissionOutcome::Rejected: return "rejected";
-    case AdmissionOutcome::RejectedOverload: return "rejected_overload";
-  }
-  return "?";
-}
-
-// ---------------------------------------------------------------- ServeLog
-
-ServeLog::ServeLog(std::size_t capacity) : capacity_(std::max<std::size_t>(1, capacity)) {
-  ring_.reserve(capacity_);
-}
-
-void ServeLog::record(Entry entry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(entry);
-  } else {
-    ring_[static_cast<std::size_t>(recorded_) % capacity_] = entry;
-  }
-  ++recorded_;
-}
-
-long ServeLog::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recorded_;
-}
-
-std::size_t ServeLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-long ServeLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recorded_ > static_cast<long>(capacity_)
-             ? recorded_ - static_cast<long>(capacity_)
-             : 0;
-}
-
-std::vector<ServeLog::Entry> ServeLog::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Entry> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    const std::size_t head = static_cast<std::size_t>(recorded_) % capacity_;
-    for (std::size_t i = 0; i < capacity_; ++i)
-      out.push_back(ring_[(head + i) % capacity_]);
-  }
-  return out;
-}
-
-// -------------------------------------------------------------- PlanServer
 
 /// The per-(program, device) evaluation stack. Declaration order is
 /// construction order: the objective borrows everything above it. Immutable
@@ -139,6 +70,13 @@ struct PlanServer::InFlight {
 
 namespace {
 
+/// The always-legal floor: the identity plan at its baseline cost.
+void serve_floor(ServeResult& result) {
+  result.rung = ServeRung::TrivialFloor;
+  result.plan = FusionPlan(result.num_kernels);
+  result.cost_s = result.baseline_cost_s;
+}
+
 /// serve.inflight as a real concurrent-request count (it was a 0/1 marker
 /// when serve() was serial).
 class InflightGauge {
@@ -164,12 +102,12 @@ class InflightGauge {
 /// for the watchdog / signal dump, clears on every exit path.
 class InflightMark {
  public:
-  InflightMark(FlightRecorder* recorder, const ServeRequest& request,
-               const RequestContext& rc, double deadline_s, double start_s)
+  InflightMark(FlightRecorder* recorder, const RequestContext& rc,
+               double start_s)
       : recorder_(recorder) {
     if (recorder_ != nullptr)
-      slot_ = recorder_->inflight_begin(request.worker_id, rc.trace_id,
-                                        rc.seq, deadline_s, start_s);
+      slot_ = recorder_->inflight_begin(rc.worker_id, rc.trace_id, rc.seq,
+                                        rc.deadline_s, start_s);
   }
   ~InflightMark() {
     if (recorder_ != nullptr) recorder_->inflight_end(slot_);
@@ -188,13 +126,9 @@ class InflightMark {
 }  // namespace
 
 PlanServer::PlanServer(PlanStore& store, PlanServerConfig config)
-    : store_(store), config_(std::move(config)), log_(config_.log_capacity),
-      bucket_(config_.admission) {
+    : store_(store), config_(std::move(config)), bucket_(config_.admission) {
   KF_REQUIRE(config_.default_deadline_s > 0.0,
              "PlanServer: default_deadline_s must be > 0");
-  KF_REQUIRE(config_.search_budget_fraction > 0.0 &&
-                 config_.search_budget_fraction <= 1.0,
-             "PlanServer: search_budget_fraction must be in (0, 1]");
   if (!config_.clock) {
     auto watch = std::make_shared<Stopwatch>();
     config_.clock = [watch] { return watch->elapsed_s(); };
@@ -223,6 +157,7 @@ PlanServer::~PlanServer() = default;
 
 PlanServer::Context& PlanServer::context(const Program& program,
                                          const DeviceSpec& device) {
+  KF_REQUIRE(program.num_kernels() > 0, "PlanServer: empty program");
   // Keyed on the *raw* program so the lookup never re-runs expansion; the
   // stored PlanKey inside uses the expanded fingerprint.
   const ContextKey cache_key = std::make_pair(program_fingerprint(program),
@@ -243,6 +178,23 @@ PlanServer::Context& PlanServer::context(const Program& program,
   return *slot->ctx;
 }
 
+double PlanServer::begin(const Context& ctx, const ServeRequest& request,
+                         double dequeue_s, ServeResult& result) {
+  result.worker_id = request.worker_id;
+  result.deadline_s =
+      request.deadline_s > 0.0 ? request.deadline_s : config_.default_deadline_s;
+  result.program_fp = ctx.key.program_fp;
+  result.device_fp = ctx.key.device_fp;
+  result.num_kernels = ctx.expansion.program.num_kernels();
+  result.baseline_cost_s = ctx.objective.baseline_cost();
+  result.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  result.trace_id =
+      TraceId::derive(static_cast<std::uint64_t>(result.seq), ctx.key.program_fp,
+                      ctx.key.device_fp, config_.trace_salt);
+  return request.enqueue_s >= 0.0 ? std::min(request.enqueue_s, dequeue_s)
+                                  : dequeue_s;
+}
+
 bool PlanServer::plan_usable(const Context& ctx, const std::string& plan_text,
                              FusionPlan* out) const {
   const int n = ctx.expansion.program.num_kernels();
@@ -257,30 +209,7 @@ bool PlanServer::plan_usable(const Context& ctx, const std::string& plan_text,
   return true;
 }
 
-bool PlanServer::repair_plan(const Context& ctx, FusionPlan& plan) const {
-  // Split every illegal group into singletons (singletons are always
-  // legal), then demand schedulability — splitting only removes contracted
-  // precedence edges, so a repaired plan that still has a cycle is beyond
-  // this rung.
-  const int n = ctx.expansion.program.num_kernels();
-  FusionPlan repaired(n);
-  std::vector<KernelId> members;
-  for (int g = 0; g < plan.num_groups(); ++g) {
-    members.assign(plan.group(g).begin(), plan.group(g).end());
-    if (members.size() < 2 || !ctx.checker.group_is_legal(members)) continue;
-    for (std::size_t i = 1; i < members.size(); ++i)
-      repaired.merge_groups(repaired.group_of(members[0]),
-                            repaired.group_of(members[i]));
-  }
-  repaired.canonicalize();
-  if (!ctx.checker.plan_is_schedulable(repaired)) return false;
-  plan = std::move(repaired);
-  return true;
-}
-
-void PlanServer::write_back(Context& ctx, const ServeResult& result,
-                            RequestContext& rc) {
-  if (!config_.write_back) return;
+void PlanServer::write_back(Context& ctx, ServeResult& result) {
   const double mark = config_.clock();
   SpanTracer::Scope span =
       scoped_span(config_.telemetry, "serve.write_back", "serve");
@@ -304,21 +233,16 @@ void PlanServer::write_back(Context& ctx, const ServeResult& result,
     if (t != nullptr && t->metrics != nullptr)
       t->metrics->count("serve.store_writeback_failures");
   }
-  rc.charge(RequestContext::kWriteBack, config_.clock() - mark);
+  result.charge(RequestContext::kWriteBack, config_.clock() - mark);
 }
 
-void PlanServer::finish(ServeResult& result, const Context* ctx,
-                        double start_s, const RequestContext& rc) {
+void PlanServer::finish(ServeResult& result, double start_s) {
   result.latency_s = std::max(0.0, config_.clock() - start_s);
   result.deadline_met = result.latency_s <= result.deadline_s;
   result.degraded = result.admission == AdmissionOutcome::Rejected ||
                     result.admission == AdmissionOutcome::RejectedOverload ||
                     result.rung == ServeRung::PolishedStored ||
                     result.rung == ServeRung::TrivialFloor;
-  if (ctx != nullptr) result.key = ctx->key;
-  result.trace_id = rc.trace_id;
-  for (int s = 0; s < RequestContext::kNumStages; ++s)
-    result.stage_s[s] = rc.stage_s[s];
 
   {
     std::lock_guard<std::mutex> slock(stats_mu_);
@@ -339,31 +263,10 @@ void PlanServer::finish(ServeResult& result, const Context* ctx,
     if (!result.deadline_met) ++stats_.deadline_missed;
   }
 
-  ServeLog::Entry entry;
-  entry.seq = rc.seq;
-  entry.program_fp = result.key.program_fp;
-  entry.device_fp = result.key.device_fp;
-  entry.rung = result.rung;
-  entry.admission = result.admission;
-  entry.retries = result.retries;
-  entry.latency_s = result.latency_s;
-  entry.deadline_met = result.deadline_met;
-  entry.degraded = result.degraded;
-  entry.trace = rc.trace_id;
-  log_.record(entry);
-
   const Telemetry* t = config_.telemetry;
-  if (t != nullptr && t->slo != nullptr) {
-    SloTracker::Sample sample;
-    sample.t_s = config_.clock();
-    sample.latency_s = result.latency_s;
-    sample.deadline_met = result.deadline_met;
-    sample.degraded = result.degraded;
-    sample.rung = static_cast<int>(result.rung);
-    t->slo->record(sample);
-  }
-  if (t != nullptr && t->metrics != nullptr) {
-    MetricsRegistry* m = t->metrics;
+  if (t == nullptr) return;
+  if (t->slo != nullptr) t->slo->record(result, config_.clock());
+  if (MetricsRegistry* m = t->metrics; m != nullptr) {
     m->count("serve.requests_total");
     m->count(std::string("serve.rung_total.") + to_string(result.rung));
     if (result.degraded) m->count("serve.degraded_total");
@@ -380,86 +283,19 @@ void PlanServer::finish(ServeResult& result, const Context* ctx,
     // bucket this sample lands in captures the trace id as its exemplar.
     m->observe("serve.latency_seconds", result.latency_s);
   }
-  if (t != nullptr && t->recorder != nullptr) {
-    // The black-box twin of the wide event below: a fixed-size binary
-    // record in the always-on ring, plus the state-page counters the
-    // signal path snapshots without locks.
-    FlightRecorder* rec = t->recorder;
-    FlightServePayload p;
-    p.program_fp = result.key.program_fp;
-    p.device_fp = result.key.device_fp;
-    p.latency_s = result.latency_s;
-    p.deadline_s = result.deadline_s;
-    p.queue_wait_s = result.queue_wait_s;
-    p.cost_s = result.cost_s;
-    p.baseline_cost_s = result.baseline_cost_s;
-    for (int s = 0; s < RequestContext::kNumStages; ++s)
-      p.stage_s[s] = rc.stage_s[s];
-    p.worker_id = static_cast<std::int16_t>(
-        std::clamp(result.worker_id, -1, int(INT16_MAX)));
-    p.retries = static_cast<std::int16_t>(
-        std::clamp(result.retries, 0, int(INT16_MAX)));
-    p.rung = static_cast<std::uint8_t>(result.rung);
-    p.admission = static_cast<std::uint8_t>(result.admission);
-    if (result.degraded) p.flags |= FlightServePayload::kFlagDegraded;
-    if (result.coalesced) p.flags |= FlightServePayload::kFlagCoalesced;
-    if (result.deadline_met) p.flags |= FlightServePayload::kFlagDeadlineMet;
-    rec->record_serve(p, rc.trace_id);
-    StatePage& sp = rec->state();
-    sp.requests_total.fetch_add(1, std::memory_order_relaxed);
-    if (!result.deadline_met)
-      sp.deadline_missed_total.fetch_add(1, std::memory_order_relaxed);
-    if (result.degraded)
-      sp.degraded_total.fetch_add(1, std::memory_order_relaxed);
-    if (result.admission == AdmissionOutcome::RejectedOverload)
-      sp.rejected_overload_total.fetch_add(1, std::memory_order_relaxed);
-    if (result.retries > 0)
-      sp.retries_total.fetch_add(result.retries, std::memory_order_relaxed);
-    if (result.rung == ServeRung::TrivialFloor)
-      sp.trivial_floor_total.fetch_add(1, std::memory_order_relaxed);
-    sp.inflight.store(inflight_requests_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+  if (t->recorder != nullptr) {
+    // The black-box twin of the wide event below.
+    t->recorder->record_serve(result);
+    t->recorder->state().inflight.store(
+        inflight_requests_.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
-  if (t != nullptr && t->wants_trace()) {
-    // The request's single canonical wide event: identity, rung, hit
-    // state, per-stage deadline budget, retries and final cost on one
-    // line. (The line's "trace" field is stamped by TraceLog itself.)
-    t->trace->emit("serve_request", [&](TraceEvent& e) {
-      e.num("seq", entry.seq)
-          .str("program_fp", strprintf("%016llx",
-               static_cast<unsigned long long>(result.key.program_fp)))
-          .str("device_fp", strprintf("%016llx",
-               static_cast<unsigned long long>(result.key.device_fp)))
-          .num("num_kernels", result.num_kernels)
-          .str("rung", to_string(result.rung))
-          .str("admission", to_string(result.admission))
-          .boolean("store_hit", result.rung == ServeRung::StoreHit)
-          .boolean("degraded", result.degraded)
-          .boolean("coalesced", result.coalesced)
-          .num("worker_id", result.worker_id)
-          .num("retries", result.retries)
-          .num("queue_wait_s", result.queue_wait_s)
-          .num("latency_s", result.latency_s)
-          .num("deadline_s", result.deadline_s)
-          .boolean("deadline_met", result.deadline_met)
-          .num("deadline_frac_used",
-               result.deadline_s > 0.0 ? result.latency_s / result.deadline_s
-                                       : 0.0);
-      for (int s = 0; s < RequestContext::kNumStages; ++s) {
-        if (rc.stage_s[s] > 0.0)
-          e.num(std::string("stage_") + RequestContext::stage_name(s) + "_s",
-                rc.stage_s[s]);
-      }
-      e.num("cost_s", result.cost_s)
-          .num("baseline_cost_s", result.baseline_cost_s)
-          .num("speedup", result.speedup());
-    });
-  }
+  // The request's single canonical wide event.
+  if (t->wants_trace()) result.to_event(*t->trace);
 }
 
 void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
-                             double start_s, ServeResult& result,
-                             RequestContext& rc) {
+                             double start_s, ServeResult& result) {
   const int n = ctx.expansion.program.num_kernels();
 
   // ---- rung 2: polish the nearest stored plan (same program, any device) ----
@@ -483,19 +319,20 @@ void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
       } catch (const std::exception&) {
         continue;
       }
-      if (!ctx.checker.plan_is_legal(plan) && !repair_plan(ctx, plan))
-        continue;
+      // A plan legal on its own device keeps its partition: repair only
+      // splits groups this device's checker rejects.
+      if (repair_plan(ctx.checker, plan) > 0) plan.canonicalize();
       double cost = 0.0;
       local_polish(ctx.objective, plan, &cost, config_.telemetry);
       result.rung = ServeRung::PolishedStored;
       result.plan = std::move(plan);
       result.cost_s = cost;
       span.end();
-      rc.charge(RequestContext::kPolish, config_.clock() - mark);
+      result.charge(RequestContext::kPolish, config_.clock() - mark);
       return;
     }
     span.end();
-    rc.charge(RequestContext::kPolish, config_.clock() - mark);
+    result.charge(RequestContext::kPolish, config_.clock() - mark);
   }
 
   // ---- rung 3: full search under the remaining budget, with retries ----
@@ -506,7 +343,9 @@ void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
     DriverConfig driver;
     driver.method = config_.method;
     driver.hgga = config_.hgga;
-    driver.limits.deadline_s = remaining * config_.search_budget_fraction;
+    // The rest of the remaining deadline is headroom for costing,
+    // write-back and the response path.
+    driver.limits.deadline_s = remaining * 0.8;
     driver.limits.max_evaluations = request.max_evaluations > 0
                                         ? request.max_evaluations
                                         : config_.default_max_evaluations;
@@ -518,7 +357,7 @@ void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
         scoped_span(config_.telemetry, "serve.search_attempt", "serve");
     SearchResult search = SearchDriver(ctx.objective, driver).run();
     span.end();
-    rc.charge(RequestContext::kSearch, config_.clock() - mark);
+    result.charge(RequestContext::kSearch, config_.clock() - mark);
     const bool stormed =
         search.fault_report.stop_reason == StopReason::FaultStorm;
     if (!stormed && ctx.checker.plan_is_legal(search.best)) {
@@ -541,14 +380,12 @@ void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
             scoped_span(config_.telemetry, "serve.backoff", "serve");
         config_.sleep(backoff);
       }
-      rc.charge(RequestContext::kBackoff, config_.clock() - mark2);
+      result.charge(RequestContext::kBackoff, config_.clock() - mark2);
     }
   }
 
   // ---- rung 4: the always-legal floor ----
-  result.rung = ServeRung::TrivialFloor;
-  result.plan = FusionPlan(n);
-  result.cost_s = result.baseline_cost_s;
+  serve_floor(result);
 }
 
 void PlanServer::publish_flight(const std::shared_ptr<InFlight>& flight,
@@ -575,74 +412,36 @@ void PlanServer::publish_flight(const std::shared_ptr<InFlight>& flight,
 ServeResult PlanServer::reject_overload(const Program& program,
                                         const DeviceSpec& device,
                                         const ServeRequest& request) {
-  KF_REQUIRE(program.num_kernels() > 0, "PlanServer: empty program");
   const double dequeue_s = config_.clock();
-  const double start = request.enqueue_s >= 0.0
-                           ? std::min(request.enqueue_s, dequeue_s)
-                           : dequeue_s;
-  ServeResult result;
-  result.worker_id = request.worker_id;
-  result.deadline_s =
-      request.deadline_s > 0.0 ? request.deadline_s : config_.default_deadline_s;
-
   Context& ctx = context(program, device);
-  const int n = ctx.expansion.program.num_kernels();
-  result.num_kernels = n;
-  result.baseline_cost_s = ctx.objective.baseline_cost();
-
-  RequestContext rc;
-  rc.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  rc.deadline_s = result.deadline_s;
-  rc.trace_id = TraceId::derive(static_cast<std::uint64_t>(rc.seq),
-                                ctx.key.program_fp, ctx.key.device_fp,
-                                config_.trace_salt);
-  TraceScope trace_scope(rc.trace_id);
+  ServeResult result;
+  const double start = begin(ctx, request, dequeue_s, result);
+  TraceScope trace_scope(result.trace_id);
   InflightGauge gauge(inflight_requests_, config_.telemetry);
-
   result.admission = AdmissionOutcome::RejectedOverload;
-  result.rung = ServeRung::TrivialFloor;
-  result.plan = FusionPlan(n);
-  result.cost_s = result.baseline_cost_s;
-  finish(result, &ctx, start, rc);
+  serve_floor(result);
+  finish(result, start);
   return result;
 }
 
 ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
                               const ServeRequest& request) {
-  KF_REQUIRE(program.num_kernels() > 0, "PlanServer: empty program");
-
   // Engine-submitted requests carry their enqueue timestamp: the latency
   // and deadline clocks start when the request entered the system, not
   // when a worker picked it up, so time spent queued counts against the
   // deadline exactly like time spent searching.
   const double dequeue_s = config_.clock();
-  const double start = request.enqueue_s >= 0.0
-                           ? std::min(request.enqueue_s, dequeue_s)
-                           : dequeue_s;
-  ServeResult result;
-  result.worker_id = request.worker_id;
-  result.deadline_s =
-      request.deadline_s > 0.0 ? request.deadline_s : config_.default_deadline_s;
-
   // The context (and its baseline) is needed on every path — even a
   // rejected request answers with a costed identity plan.
   Context& ctx = context(program, device);
-  const int n = ctx.expansion.program.num_kernels();
-  result.num_kernels = n;
-  result.baseline_cost_s = ctx.objective.baseline_cost();
+  ServeResult result;
+  const double start = begin(ctx, request, dequeue_s, result);
 
-  // Request identity, created at admission: a deterministic trace id,
-  // installed thread-locally so every sink reached below this frame
-  // (spans, decisions, trace events, store journal, histogram exemplars)
-  // stamps it without any parameter threading. TraceScope costs a 16-byte
-  // TLS swap — nothing when telemetry is off.
-  RequestContext rc;
-  rc.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  rc.deadline_s = result.deadline_s;
-  rc.trace_id = TraceId::derive(static_cast<std::uint64_t>(rc.seq),
-                                ctx.key.program_fp, ctx.key.device_fp,
-                                config_.trace_salt);
-  TraceScope trace_scope(rc.trace_id);
+  // The request's trace id, installed thread-locally so every sink reached
+  // below this frame (spans, decisions, trace events, store journal,
+  // histogram exemplars) stamps it without any parameter threading.
+  // TraceScope costs a 16-byte TLS swap — nothing when telemetry is off.
+  TraceScope trace_scope(result.trace_id);
   SpanTracer::Scope request_span =
       scoped_span(config_.telemetry, "serve.request", "serve");
   InflightGauge gauge(inflight_requests_, config_.telemetry);
@@ -650,20 +449,20 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
   // fatal signal or a watchdog stall scan can name it while it runs.
   InflightMark inflight_mark(
       config_.telemetry != nullptr ? config_.telemetry->recorder : nullptr,
-      request, rc, result.deadline_s, start);
+      result, start);
   if (const Telemetry* t = config_.telemetry; t != nullptr && t->wants_trace()) {
     // Admission-side marker: `kfc top` pairs these with "serve_request"
     // completions (same trace id) to count in-flight requests.
     t->trace->emit("serve_start", [&](TraceEvent& e) {
-      e.num("seq", rc.seq).num("deadline_s", result.deadline_s);
+      e.num("seq", result.seq).num("deadline_s", result.deadline_s);
     });
   }
 
   // ---- engine queue wait (already spent before this frame) ----
-  if (request.enqueue_s >= 0.0 && dequeue_s > request.enqueue_s) {
-    const double waited = dequeue_s - request.enqueue_s;
+  if (dequeue_s > start) {
+    const double waited = dequeue_s - start;
     result.queue_wait_s += waited;
-    rc.charge(RequestContext::kQueueWait, waited);
+    result.charge(RequestContext::kQueueWait, waited);
     if (const Telemetry* t = config_.telemetry;
         t != nullptr && t->metrics != nullptr)
       t->metrics->observe("serve.queue_wait_seconds", waited);
@@ -686,14 +485,12 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
     if (decision.admitted && decision.wait_s >= remaining)
       decision.admitted = false;
   }
-  rc.charge(RequestContext::kAdmission, config_.clock() - mark);
-  inflight_mark.update(rc);
+  result.charge(RequestContext::kAdmission, config_.clock() - mark);
+  inflight_mark.update(result);
   if (!decision.admitted) {
     result.admission = AdmissionOutcome::Rejected;
-    result.rung = ServeRung::TrivialFloor;
-    result.plan = FusionPlan(n);
-    result.cost_s = result.baseline_cost_s;
-    finish(result, &ctx, start, rc);
+    serve_floor(result);
+    finish(result, start);
     return result;
   }
   if (decision.wait_s > 0.0) {
@@ -705,7 +502,7 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
           scoped_span(config_.telemetry, "serve.queue_wait", "serve");
       config_.sleep(decision.wait_s);
     }
-    rc.charge(RequestContext::kQueueWait, config_.clock() - mark);
+    result.charge(RequestContext::kQueueWait, config_.clock() - mark);
   }
 
   // ---- rung 1: exact store hit ----
@@ -720,8 +517,8 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
         result.plan = std::move(plan);
         result.cost_s = ctx.objective.plan_cost(result.plan);
         span.end();
-        rc.charge(RequestContext::kStoreGet, config_.clock() - mark);
-        finish(result, &ctx, start, rc);
+        result.charge(RequestContext::kStoreGet, config_.clock() - mark);
+        finish(result, start);
         return result;
       }
       // Stored but no longer legal under this process's checker: evict, and
@@ -740,8 +537,8 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
         t->metrics->count("serve.invalid_stored_total");
     }
     span.end();
-    rc.charge(RequestContext::kStoreGet, config_.clock() - mark);
-    inflight_mark.update(rc);
+    result.charge(RequestContext::kStoreGet, config_.clock() - mark);
+    inflight_mark.update(result);
   }
 
   // ---- coalescing: concurrent misses on one key collapse to one search ----
@@ -784,8 +581,8 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
       }
     }
     span.end();
-    rc.charge(RequestContext::kCoalesceWait, config_.clock() - mark);
-    inflight_mark.update(rc);
+    result.charge(RequestContext::kCoalesceWait, config_.clock() - mark);
+    inflight_mark.update(result);
     if (!published) {
       // The leader could not publish inside OUR deadline: honest floor.
       {
@@ -796,11 +593,9 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
           t != nullptr && t->recorder != nullptr)
         t->recorder->state().coalesce_timeout_total.fetch_add(
             1, std::memory_order_relaxed);
-      result.rung = ServeRung::TrivialFloor;
-      result.plan = FusionPlan(n);
-      result.cost_s = result.baseline_cost_s;
+      serve_floor(result);
     }
-    finish(result, &ctx, start, rc);
+    finish(result, start);
     return result;
   }
 
@@ -814,30 +609,27 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
       result.plan = std::move(plan);
       result.cost_s = ctx.objective.plan_cost(result.plan);
       publish_flight(flight, flight_key, result);
-      finish(result, &ctx, start, rc);
+      finish(result, start);
       return result;
     }
   }
   if (config_.test_coalesce_hold) config_.test_coalesce_hold();
 
   try {
-    miss_ladder(ctx, request, start, result, rc);
-    inflight_mark.update(rc);
+    miss_ladder(ctx, request, start, result);
+    inflight_mark.update(result);
     if (result.rung == ServeRung::PolishedStored ||
         result.rung == ServeRung::FullSearch)
-      write_back(ctx, result, rc);
+      write_back(ctx, result);
   } catch (...) {
     // The ladder is no-throw by design; if that ever breaks, waiters still
     // get the always-legal floor instead of hanging to their deadlines.
-    ServeResult floor;
-    floor.rung = ServeRung::TrivialFloor;
-    floor.plan = FusionPlan(n);
-    floor.cost_s = result.baseline_cost_s;
-    publish_flight(flight, flight_key, floor);
+    serve_floor(result);
+    publish_flight(flight, flight_key, result);
     throw;
   }
   publish_flight(flight, flight_key, result);
-  finish(result, &ctx, start, rc);
+  finish(result, start);
   return result;
 }
 

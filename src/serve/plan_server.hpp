@@ -33,23 +33,20 @@
 //      store so the next request for the pair is a StoreHit. A store write
 //      failure (torn/injected) degrades durability, never the response.
 //
-// Every request lands in a bounded provenance ring (ServeLog, the
-// DecisionLog idiom) and in kfc-metrics (serve.requests_total,
-// serve.rung_total.*, serve.degraded_total, ...); `kfc serve-batch` replays
-// a JSONL request stream through this class and reports the distribution.
-//
-// Observability (PR "serving-grade observability"): each request gets a
-// RequestContext at admission — a deterministic 128-bit trace id installed
-// thread-locally (TraceScope) for the request's duration, so every span,
-// decision, metric exemplar and store journal event recorded downstream
-// (SearchDriver, Objective, GroupCostCache, PlanStore) stamps the owning
-// id with no API threading. The lifecycle itself is spanned (cat "serve",
-// exported under Chrome-trace pid 4), each stage's deadline-budget
-// consumption is charged to the context's ledger, and finish() emits the
-// request's single canonical *wide event* ("serve_request" JSONL line:
-// rung, stage budgets, hit state, retries, final cost) plus the SLO sample
-// (telemetry->slo) and the latency histogram observation whose bucket
-// exemplar carries the trace id.
+// Every request is one RequestContext (telemetry/request_context.hpp), the
+// record every sink reads. It opens at admission with a deterministic
+// 128-bit trace id installed thread-locally (TraceScope) for the request's
+// duration, so every span, decision, metric exemplar and store journal
+// event recorded downstream (SearchDriver, Objective, GroupCostCache,
+// PlanStore) stamps the owning id with no API threading. The lifecycle is
+// spanned (cat "serve", exported under Chrome-trace pid 4), each stage's
+// deadline-budget consumption is charged to the record's ledger, and
+// finish() hands the finished record to Stats, kfc-metrics
+// (serve.requests_total, serve.rung_total.*, ...; the latency histogram's
+// bucket exemplar carries the trace id), the SLO tracker, the flight
+// recorder and the request's single canonical *wide event* (the
+// "serve_request" JSONL line). `kfc serve-batch` replays a JSONL request
+// stream through this class and reports the distribution.
 //
 // Concurrency (PR "worker-pool serving engine"): serve() is fully
 // concurrent — many workers (serve/serve_engine.hpp) run requests at once.
@@ -78,7 +75,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "search/driver.hpp"
 #include "serve/admission.hpp"
@@ -86,16 +82,6 @@
 #include "telemetry/request_context.hpp"
 
 namespace kf {
-
-/// Which rung of the degradation ladder answered a request.
-enum class ServeRung { StoreHit, PolishedStored, FullSearch, TrivialFloor };
-const char* to_string(ServeRung rung) noexcept;
-
-/// RejectedOverload is the queue-full outcome: the request never reached
-/// the token bucket because the engine's bounded queue was full (or the
-/// engine was drained) — it is still answered, with the identity floor.
-enum class AdmissionOutcome { Admitted, Queued, Rejected, RejectedOverload };
-const char* to_string(AdmissionOutcome outcome) noexcept;
 
 struct ServeRequest {
   double deadline_s = 0.0;   ///< wall budget; <= 0: server default
@@ -108,63 +94,9 @@ struct ServeRequest {
   int worker_id = -1;       ///< serving worker; -1: direct call
 };
 
-struct ServeResult {
+/// The request's record plus the plan it was answered with.
+struct ServeResult : RequestContext {
   FusionPlan plan;
-  double cost_s = 0.0;           ///< plan cost under this process's objective
-  double baseline_cost_s = 0.0;  ///< identity-plan cost (the floor's cost)
-  int num_kernels = 0;
-  PlanKey key;
-  ServeRung rung = ServeRung::TrivialFloor;
-  AdmissionOutcome admission = AdmissionOutcome::Admitted;
-  bool degraded = false;   ///< rejected, or served below the natural rung
-  int retries = 0;         ///< FullSearch attempts beyond the first
-  double queue_wait_s = 0.0;
-  double latency_s = 0.0;  ///< admission decision through response, waits included
-  double deadline_s = 0.0; ///< effective deadline this request ran under
-  bool deadline_met = true;
-  bool coalesced = false;  ///< answered by another request's in-flight search
-  int worker_id = -1;      ///< engine worker that served this; -1: direct call
-  TraceId trace_id;        ///< this request's 128-bit trace identity
-  /// Deadline budget consumed per lifecycle stage (RequestContext::Stage
-  /// order); sums to <= latency_s.
-  double stage_s[RequestContext::kNumStages] = {};
-
-  double speedup() const noexcept {
-    return cost_s > 0.0 ? baseline_cost_s / cost_s : 0.0;
-  }
-};
-
-/// Bounded ring of per-request provenance (the DecisionLog idiom): the last
-/// `capacity` requests with rung, admission, retries and latency, so an
-/// operator can ask "what has the server been doing" without a trace file.
-class ServeLog {
- public:
-  struct Entry {
-    long seq = 0;  ///< 1-based request ordinal
-    std::uint64_t program_fp = 0;
-    std::uint64_t device_fp = 0;
-    ServeRung rung = ServeRung::TrivialFloor;
-    AdmissionOutcome admission = AdmissionOutcome::Admitted;
-    int retries = 0;
-    double latency_s = 0.0;
-    bool deadline_met = true;
-    bool degraded = false;
-    TraceId trace;  ///< the request's trace id (links to spans/wide events)
-  };
-
-  explicit ServeLog(std::size_t capacity = 256);
-
-  void record(Entry entry);
-  long recorded() const;             ///< total ever recorded (>= size())
-  std::size_t size() const;          ///< entries currently held
-  long dropped() const;              ///< entries evicted by ring wrap (exact)
-  std::vector<Entry> entries() const;  ///< oldest-first snapshot
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Entry> ring_;
-  std::size_t capacity_;
-  long recorded_ = 0;
 };
 
 struct PlanServerConfig {
@@ -184,20 +116,14 @@ struct PlanServerConfig {
   /// Below this remaining budget the FullSearch rung is skipped entirely —
   /// a search that cannot finish is worse than an honest degradation.
   double min_search_budget_s = 0.010;
-  /// Fraction of the remaining deadline handed to each search attempt (the
-  /// rest is headroom for costing, write-back and the response path).
-  double search_budget_fraction = 0.8;
 
   SearchMethod method = SearchMethod::Greedy;
   HggaConfig hgga;          ///< used when method == Hgga
-  bool write_back = true;
 
   /// Expandable-array relaxation applied to incoming programs (matches
   /// `kfc search` defaults so served plans and offline plans share keys).
   bool expand = true;
   double mem_budget = -1.0;
-
-  std::size_t log_capacity = 256;
 
   /// Observability (nullable, must outlive the server).
   const Telemetry* telemetry = nullptr;
@@ -233,8 +159,8 @@ class PlanServer {
 
   /// Answers a request that never made it into the system (full engine
   /// queue, or a drained engine) with the rejected_overload floor: an
-  /// always-legal identity plan, fully accounted (ServeLog, stats, SLO
-  /// sample, wide event) like any other response. Cheap — no admission, no
+  /// always-legal identity plan, fully accounted (stats, SLO, recorder,
+  /// wide event) like any other response. Cheap — no admission, no
   /// ladder — so it is safe to call inline on a submitter's thread.
   ServeResult reject_overload(const Program& program, const DeviceSpec& device,
                               const ServeRequest& request = ServeRequest());
@@ -260,7 +186,6 @@ class PlanServer {
   };
   Stats stats() const;
 
-  const ServeLog& log() const noexcept { return log_; }
   PlanStore& store() noexcept { return store_; }
   const Telemetry* telemetry() const noexcept { return config_.telemetry; }
   /// The server's monotone clock (the injected one in tests) — the engine
@@ -284,7 +209,6 @@ class PlanServer {
 
   PlanStore& store_;
   PlanServerConfig config_;
-  ServeLog log_;
 
   std::mutex bucket_mu_;  ///< TokenBucket is not itself thread-safe
   TokenBucket bucket_;
@@ -303,21 +227,27 @@ class PlanServer {
   std::atomic<long> coalesce_waiting_{0};
 
   Context& context(const Program& program, const DeviceSpec& device);
+  /// Opens the record of one request: effective deadline, worker, identity
+  /// (seq, fingerprints, trace id) and the identity-plan baseline every
+  /// rung can fall back to. Returns the latency clock's origin: the enqueue
+  /// time for engine-submitted requests, else `dequeue_s`.
+  double begin(const Context& ctx, const ServeRequest& request,
+               double dequeue_s, ServeResult& result);
   bool plan_usable(const Context& ctx, const std::string& plan_text,
                    FusionPlan* out) const;
-  bool repair_plan(const Context& ctx, FusionPlan& plan) const;
   /// Rungs 2..4 (polish / full search / floor) for a confirmed store miss;
   /// sets result.{rung, plan, cost_s, retries}. Write-back and waiter
   /// publication happen in the caller.
   void miss_ladder(Context& ctx, const ServeRequest& request, double start_s,
-                   ServeResult& result, RequestContext& rc);
+                   ServeResult& result);
   /// Hands the leader's outcome to every parked waiter and retires the
   /// in-flight entry for `key`.
   void publish_flight(const std::shared_ptr<InFlight>& flight,
                       const ContextKey& key, const ServeResult& result);
-  void write_back(Context& ctx, const ServeResult& result, RequestContext& rc);
-  void finish(ServeResult& result, const Context* ctx, double start_s,
-              const RequestContext& rc);
+  void write_back(Context& ctx, ServeResult& result);
+  /// Closes the record (latency, deadline, degradation) and hands it to
+  /// every sink.
+  void finish(ServeResult& result, double start_s);
 };
 
 }  // namespace kf

@@ -7,7 +7,9 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 
 #include "telemetry/metrics.hpp"
@@ -189,12 +191,41 @@ void FlightRecorder::seal(FlightRecord* record) noexcept {
   record->crc = crc32(bytes_of(record, offsetof(FlightRecord, crc)));
 }
 
-void FlightRecorder::record_serve(const FlightServePayload& payload,
-                                  TraceId trace) {
-  FlightRecord* rec = claim(FlightRecordType::kServe, trace,
-                            static_cast<std::uint16_t>(sizeof(payload)));
-  std::memcpy(rec->payload, &payload, sizeof(payload));
+void FlightRecorder::record_serve(const RequestContext& request) {
+  FlightServePayload p;
+  p.program_fp = request.program_fp;
+  p.device_fp = request.device_fp;
+  p.latency_s = request.latency_s;
+  p.deadline_s = request.deadline_s;
+  p.queue_wait_s = request.queue_wait_s;
+  p.cost_s = request.cost_s;
+  p.baseline_cost_s = request.baseline_cost_s;
+  std::copy(std::begin(request.stage_s), std::end(request.stage_s), p.stage_s);
+  p.worker_id = static_cast<std::int16_t>(
+      std::clamp(request.worker_id, -1, int(INT16_MAX)));
+  p.retries =
+      static_cast<std::int16_t>(std::clamp(request.retries, 0, int(INT16_MAX)));
+  p.rung = static_cast<std::uint8_t>(request.rung);
+  p.admission = static_cast<std::uint8_t>(request.admission);
+  if (request.degraded) p.flags |= FlightServePayload::kFlagDegraded;
+  if (request.coalesced) p.flags |= FlightServePayload::kFlagCoalesced;
+  if (request.deadline_met) p.flags |= FlightServePayload::kFlagDeadlineMet;
+  FlightRecord* rec = claim(FlightRecordType::kServe, request.trace_id,
+                            static_cast<std::uint16_t>(sizeof(p)));
+  std::memcpy(rec->payload, &p, sizeof(p));
   seal(rec);
+
+  state_.requests_total.fetch_add(1, std::memory_order_relaxed);
+  if (!request.deadline_met)
+    state_.deadline_missed_total.fetch_add(1, std::memory_order_relaxed);
+  if (request.degraded)
+    state_.degraded_total.fetch_add(1, std::memory_order_relaxed);
+  if (request.admission == AdmissionOutcome::RejectedOverload)
+    state_.rejected_overload_total.fetch_add(1, std::memory_order_relaxed);
+  if (request.retries > 0)
+    state_.retries_total.fetch_add(request.retries, std::memory_order_relaxed);
+  if (request.rung == ServeRung::TrivialFloor)
+    state_.trivial_floor_total.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FlightRecorder::record_decision(int site, bool accepted,

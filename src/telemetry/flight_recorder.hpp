@@ -97,7 +97,7 @@ struct StateSnapshot {
 };
 
 /// Serving counters mirrored as lock-free atomics so the signal path can
-/// snapshot them with relaxed loads. Writers (PlanServer::finish, the
+/// snapshot them with relaxed loads. Writers (record_serve, PlanServer, the
 /// ServeEngine queue gauge, the watchdog, serve-batch setup) update the
 /// fields they own; nobody takes a lock.
 struct StatePage {
@@ -297,7 +297,9 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // -- recording (lock-free; safe from any thread) --------------------
-  void record_serve(const FlightServePayload& payload, TraceId trace);
+  /// One finished request: its FlightServePayload into the ring, plus the
+  /// StatePage counters it moves.
+  void record_serve(const RequestContext& request);
   void record_decision(int site, bool accepted, const int* members,
                        int member_count, double cost_delta_s,
                        const char* dominant, TraceId trace);

@@ -47,11 +47,6 @@ std::string bar(double value, double lo, double hi) {
          std::string(static_cast<std::size_t>(width - fill), '.');
 }
 
-bool bool_or(const JsonValue& event, const char* key, bool fallback) {
-  const JsonValue* v = event.find(key);
-  return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
-}
-
 /// Linear-interpolation percentile over an already-sorted sample vector
 /// (same convention as MetricsRegistry::HistogramSnapshot::percentile).
 double pct_sorted(const std::vector<double>& sorted, double p) {
@@ -175,26 +170,27 @@ void RunReport::ingest_event(const JsonValue& event) {
     ++checkpoint_saves;
   } else if (type == "checkpoint_resume") {
     resumed = true;
-  } else if (type == "serve_request") {
+  } else if (const std::optional<RequestContext> rc =
+                 RequestContext::from_event(event)) {
     // The per-request wide event: one line per served request carrying the
     // rung taken, latency, deadline budget state and the owning trace id.
     has_serve = true;
     ++serve_wide_events;
-    ServeRungStats& row = rung_row(serve_rungs, event.string_or("rung", "?"));
-    row.latencies_s.push_back(event.number_or("latency_s", 0.0));
-    if (!bool_or(event, "deadline_met", true)) {
+    ServeRungStats& row = rung_row(serve_rungs, to_string(rc->rung));
+    row.latencies_s.push_back(rc->latency_s);
+    if (!rc->deadline_met) {
       ++row.deadline_misses;
       ++serve_event_misses;
     }
-    if (bool_or(event, "degraded", false)) ++serve_event_degraded;
-    if (!event.string_or("trace", "").empty()) {
+    if (rc->degraded) ++serve_event_degraded;
+    if (rc->trace_id.valid()) {
       ++serve_traced;
       ++row.traced;
     }
-    if (event.number_or("deadline_s", 0.0) > 0.0) {
+    if (rc->deadline_s > 0.0) {
       row.has_headroom = true;
-      row.worst_headroom = std::min(
-          row.worst_headroom, 1.0 - event.number_or("deadline_frac_used", 0.0));
+      row.worst_headroom =
+          std::min(row.worst_headroom, 1.0 - rc->deadline_frac_used());
     }
   } else if (type == "search_end") {
     has_summary = true;

@@ -1,14 +1,21 @@
-// RequestContext — per-request tracing identity and stage budget ledger.
+// RequestContext — the one record of a served request.
 //
-// The serving path (serve/plan_server.hpp) creates one RequestContext at
-// admission. It carries:
+// The serving path (serve/plan_server.hpp) opens one RequestContext per
+// request and every serving sink reads it: PlanServer::Stats, the metric
+// counters, the SLO tracker, the flight recorder and the "serve_request"
+// wide event. It carries:
 //
 //   * a 128-bit TraceId, derived deterministically from the request ordinal
 //     and the (program, device) fingerprints so replayed batches produce
-//     identical traces, and
+//     identical traces,
+//   * the outcome: ladder rung, admission decision, latency, deadline state,
+//     retries and the served plan's cost against the identity baseline, and
 //   * a per-stage ledger of how much of the request's deadline each
 //     lifecycle stage consumed (admission, queue wait, store lookup, polish,
 //     search, backoff, write-back).
+//
+// to_event() is the only writer of the "serve_request" JSONL line and
+// from_event() its only reader (`kfc slo --events`, `kfc top`, RunReport).
 //
 // The trace id propagates *implicitly*: `TraceScope` installs it in a
 // thread-local slot for the duration of the request, and every sink that
@@ -28,9 +35,25 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace kf {
+
+class JsonValue;
+class TraceLog;
+
+/// Which rung of the degradation ladder answered a request.
+enum class ServeRung { StoreHit, PolishedStored, FullSearch, TrivialFloor };
+inline constexpr int kNumServeRungs = 4;
+const char* to_string(ServeRung rung) noexcept;
+
+/// RejectedOverload is the queue-full outcome: the request never reached
+/// the token bucket because the engine's bounded queue was full (or the
+/// engine was drained) — it is still answered, with the identity floor.
+enum class AdmissionOutcome { Admitted, Queued, Rejected, RejectedOverload };
+const char* to_string(AdmissionOutcome outcome) noexcept;
 
 /// 128-bit trace identifier. Zero (the default) means "no active trace";
 /// derive() never returns zero.
@@ -85,8 +108,8 @@ class [[nodiscard]] TraceScope {
   TraceId prev_;
 };
 
-/// Per-request context created at admission: identity plus the stage
-/// ledger the wide event reports as "deadline budget consumed per stage".
+/// One served request: identity, outcome and the stage ledger the wide
+/// event reports as "deadline budget consumed per stage".
 struct RequestContext {
   /// Lifecycle stages of one served request, in ladder order.
   enum Stage {
@@ -104,7 +127,23 @@ struct RequestContext {
 
   TraceId trace_id;
   long seq = 0;            ///< 1-based request ordinal on the owning server
+  std::uint64_t program_fp = 0;  ///< expanded-program fingerprint (store key)
+  std::uint64_t device_fp = 0;
+  int num_kernels = 0;
+  double cost_s = 0.0;           ///< plan cost under this process's objective
+  double baseline_cost_s = 0.0;  ///< identity-plan cost (the floor's cost)
+  ServeRung rung = ServeRung::TrivialFloor;
+  AdmissionOutcome admission = AdmissionOutcome::Admitted;
+  bool degraded = false;   ///< rejected, or served below the natural rung
+  int retries = 0;         ///< FullSearch attempts beyond the first
+  double queue_wait_s = 0.0;
+  double latency_s = 0.0;  ///< admission decision through response, waits included
   double deadline_s = 0.0; ///< effective deadline the request ran under
+  bool deadline_met = true;
+  bool coalesced = false;  ///< answered by another request's in-flight search
+  int worker_id = -1;      ///< engine worker that served this; -1: direct call
+  /// Deadline budget consumed per lifecycle stage; sums to <= latency_s
+  /// (the remainder is uninstrumented response-path time).
   double stage_s[kNumStages] = {};
 
   /// Adds `seconds` (clamped at zero) to a stage's ledger entry.
@@ -112,13 +151,24 @@ struct RequestContext {
     if (seconds > 0.0) stage_s[stage] += seconds;
   }
 
-  /// Total seconds attributed across all stages (<= latency; the remainder
-  /// is uninstrumented response-path time).
-  double consumed_s() const noexcept {
-    double total = 0.0;
-    for (double s : stage_s) total += s;
-    return total;
+  double speedup() const noexcept {
+    return cost_s > 0.0 ? baseline_cost_s / cost_s : 0.0;
   }
+  double deadline_frac_used() const noexcept {
+    return deadline_s > 0.0 ? latency_s / deadline_s : 0.0;
+  }
+
+  friend bool operator==(const RequestContext&,
+                         const RequestContext&) = default;
+
+  /// Emits the request's "serve_request" wide event. The line's "trace"
+  /// field is TraceLog's stamp, so call it under this request's TraceScope.
+  void to_event(TraceLog& log) const;
+
+  /// Decodes a "serve_request" line written by to_event(); absent fields
+  /// keep their defaults. nullopt for any other event type or an unknown
+  /// rung or admission name.
+  static std::optional<RequestContext> from_event(const JsonValue& event);
 };
 
 }  // namespace kf

@@ -9,9 +9,6 @@ namespace kf {
 
 namespace {
 
-const char* kRungNames[SloTracker::kNumRungs] = {
-    "store_hit", "polished_stored", "full_search", "trivial_floor"};
-
 double burn(long bad, long total, double budget) {
   if (total == 0 || budget <= 0.0) return 0.0;
   const double rate = static_cast<double>(bad) / static_cast<double>(total);
@@ -31,7 +28,9 @@ SloTracker::SloTracker(Config config) : config_(std::move(config)) {
   ring_.reserve(std::min<std::size_t>(config_.capacity, 4096));
 }
 
-void SloTracker::record(const Sample& sample) {
+void SloTracker::record(const RequestContext& request, double t_s) {
+  const Sample sample{t_s, request.latency_s, request.deadline_met,
+                      request.degraded, request.rung};
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.size() < config_.capacity) {
     ring_.push_back(sample);
@@ -44,7 +43,7 @@ void SloTracker::record(const Sample& sample) {
   if (config_.latency_target_s > 0.0 &&
       sample.latency_s > config_.latency_target_s)
     ++total_slow_;
-  if (sample.rung >= 0 && sample.rung < kNumRungs) ++rung_count_[sample.rung];
+  ++rung_count_[static_cast<int>(sample.rung)];
 }
 
 long SloTracker::recorded() const {
@@ -60,7 +59,7 @@ SloTracker::Report SloTracker::report(double now_s) const {
   out.total_deadline_misses = total_misses_;
   out.total_degraded = total_degraded_;
   out.total_slow = total_slow_;
-  for (int r = 0; r < kNumRungs; ++r) out.rung_count[r] = rung_count_[r];
+  for (int r = 0; r < kNumServeRungs; ++r) out.rung_count[r] = rung_count_[r];
   out.evicted = std::max<long>(
       0, recorded_ - static_cast<long>(std::min<std::size_t>(
              static_cast<std::size_t>(recorded_), config_.capacity)));
@@ -77,7 +76,7 @@ SloTracker::Report SloTracker::report(double now_s) const {
       if (config_.latency_target_s > 0.0 &&
           s.latency_s > config_.latency_target_s)
         ++w.slow;
-      if (s.rung >= 0 && s.rung < kNumRungs) ++w.rung_count[s.rung];
+      ++w.rung_count[static_cast<int>(s.rung)];
     }
     w.deadline_burn =
         burn(w.deadline_misses, w.requests, config_.deadline_miss_budget);
@@ -111,8 +110,9 @@ JsonValue SloTracker::Report::to_json() const {
   root.set("total_slow", static_cast<double>(total_slow));
   root.set("evicted", static_cast<double>(evicted));
   JsonValue rungs = JsonValue::object();
-  for (int r = 0; r < kNumRungs; ++r)
-    rungs.set(kRungNames[r], static_cast<double>(rung_count[r]));
+  for (int r = 0; r < kNumServeRungs; ++r)
+    rungs.set(to_string(static_cast<ServeRung>(r)),
+              static_cast<double>(rung_count[r]));
   root.set("rung_count", std::move(rungs));
 
   JsonValue window_list = JsonValue::array();
@@ -156,9 +156,9 @@ SloTracker::Report SloTracker::from_json(const JsonValue& v) {
   out.total_slow = static_cast<long>(v.number_or("total_slow", 0.0));
   out.evicted = static_cast<long>(v.number_or("evicted", 0.0));
   if (const JsonValue* rungs = v.find("rung_count"); rungs != nullptr) {
-    for (int r = 0; r < kNumRungs; ++r)
-      out.rung_count[r] =
-          static_cast<long>(rungs->number_or(kRungNames[r], 0.0));
+    for (int r = 0; r < kNumServeRungs; ++r)
+      out.rung_count[r] = static_cast<long>(
+          rungs->number_or(to_string(static_cast<ServeRung>(r)), 0.0));
   }
   if (const JsonValue* windows = v.find("windows");
       windows != nullptr && windows->is_array()) {

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
+#include "telemetry/request_context.hpp"
 
 namespace kf {
 
@@ -45,23 +46,13 @@ class SloTracker {
     std::size_t capacity = std::size_t{1} << 16;     ///< sample ring bound
   };
 
-  struct Sample {
-    double t_s = 0.0;        ///< server-clock timestamp (monotone seconds)
-    double latency_s = 0.0;
-    bool deadline_met = true;
-    bool degraded = false;
-    int rung = 0;            ///< ServeRung ordinal (0..3)
-  };
-
-  static constexpr int kNumRungs = 4;
-
   struct WindowReport {
     double window_s = 0.0;
     long requests = 0;
     long deadline_misses = 0;
     long degraded = 0;
     long slow = 0;
-    long rung_count[kNumRungs] = {};
+    long rung_count[kNumServeRungs] = {};
     double deadline_burn = 0.0;
     double degraded_burn = 0.0;
     double latency_burn = 0.0;  ///< 0 when latency_target_s is off
@@ -74,7 +65,7 @@ class SloTracker {
     long total_deadline_misses = 0;
     long total_degraded = 0;
     long total_slow = 0;
-    long rung_count[kNumRungs] = {};
+    long rung_count[kNumServeRungs] = {};
     long evicted = 0;  ///< samples aged out of the ring (windows undercount)
     std::vector<WindowReport> windows;
     double worst_burn = 0.0;  ///< max over windows and objectives
@@ -86,7 +77,8 @@ class SloTracker {
   SloTracker();  ///< default Config
   explicit SloTracker(Config config);
 
-  void record(const Sample& sample);
+  /// Accounts one finished request at server-clock time `t_s`.
+  void record(const RequestContext& request, double t_s);
   long recorded() const;
 
   /// Evaluates every objective over every window ending at `now_s`.
@@ -97,6 +89,15 @@ class SloTracker {
   static Report from_json(const JsonValue& v);
 
  private:
+  /// What the windows need of one request.
+  struct Sample {
+    double t_s = 0.0;  ///< server-clock timestamp (monotone seconds)
+    double latency_s = 0.0;
+    bool deadline_met = true;
+    bool degraded = false;
+    ServeRung rung = ServeRung::TrivialFloor;
+  };
+
   Config config_;
   mutable std::mutex mu_;
   std::vector<Sample> ring_;
@@ -104,7 +105,7 @@ class SloTracker {
   long total_misses_ = 0;
   long total_degraded_ = 0;
   long total_slow_ = 0;
-  long rung_count_[kNumRungs] = {};
+  long rung_count_[kNumServeRungs] = {};
 };
 
 }  // namespace kf

@@ -16,6 +16,7 @@
 #include <map>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -660,6 +661,55 @@ TEST(TraceScope, IsThreadLocalAndAllocationFree) {
   EXPECT_EQ(after, before);
 }
 
+// ---------------------------------------------- serve_request wide events
+
+TEST(WideEvent, EveryRungAndAdmissionRoundTripsExactly) {
+  for (int r = 0; r < kNumServeRungs; ++r) {
+    for (int a = 0; a < 4; ++a) {
+      RequestContext rc;
+      rc.seq = 10 * r + a + 1;
+      rc.trace_id = TraceId::derive(static_cast<std::uint64_t>(rc.seq), 7, 9);
+      rc.program_fp = 0x0123456789abcdefULL + static_cast<std::uint64_t>(r);
+      rc.device_fp = 0xfedcba9876543210ULL - static_cast<std::uint64_t>(a);
+      rc.num_kernels = 142;
+      rc.cost_s = 1.0 / 3.0 + r;
+      rc.baseline_cost_s = 0.1 + 0.7 * a;
+      rc.rung = static_cast<ServeRung>(r);
+      rc.admission = static_cast<AdmissionOutcome>(a);
+      rc.degraded = (r + a) % 2 == 0;
+      rc.retries = a;
+      rc.queue_wait_s = 1e-7 * (a + 1);
+      rc.latency_s = 0.0123456789 * (r + 1);
+      rc.deadline_s = 0.05;
+      rc.deadline_met = r != 3;
+      rc.coalesced = a == 1;
+      rc.worker_id = r - 1;
+      for (int s = 0; s < RequestContext::kNumStages; ++s)
+        rc.stage_s[s] = 1e-6 * (s + 1) + 1e-9 * r;
+
+      std::ostringstream out;
+      TraceLog log(out);
+      {
+        // TraceLog stamps the line's "trace" from the active scope.
+        TraceScope scope(rc.trace_id);
+        rc.to_event(log);
+      }
+      const std::optional<RequestContext> back =
+          RequestContext::from_event(JsonValue::parse(out.str()));
+      ASSERT_TRUE(back.has_value()) << out.str();
+      EXPECT_TRUE(*back == rc) << "rung " << r << ", admission " << a << ": "
+                               << out.str();
+    }
+  }
+  // A line of any other event type is not a request record.
+  EXPECT_FALSE(RequestContext::from_event(
+                   JsonValue::parse(R"({"ts":0.1,"type":"serve_start","seq":1})"))
+                   .has_value());
+  EXPECT_FALSE(RequestContext::from_event(
+                   JsonValue::parse(R"({"ts":0.2,"type":"generation","gen":3})"))
+                   .has_value());
+}
+
 // ------------------------------------------------- span trace propagation
 
 TEST(SpanTracer, SpansStampActiveRequestTraceAndExportIt) {
@@ -912,13 +962,12 @@ TEST(Slo, BurnRatesPerWindowMatchHandComputedBudgetMath) {
   // 1000 requests at 1 Hz: 2 deadline misses (one inside the short window),
   // 10 degraded, 5 slow.
   for (int i = 0; i < 1000; ++i) {
-    SloTracker::Sample s;
-    s.t_s = static_cast<double>(i);
-    s.latency_s = (i % 200 == 0) ? 0.2 : 0.01;
-    s.deadline_met = !(i == 10 || i == 990);
-    s.degraded = (i % 100 == 0);
-    s.rung = i % SloTracker::kNumRungs;
-    slo.record(s);
+    RequestContext r;
+    r.latency_s = (i % 200 == 0) ? 0.2 : 0.01;
+    r.deadline_met = !(i == 10 || i == 990);
+    r.degraded = (i % 100 == 0);
+    r.rung = static_cast<ServeRung>(i % kNumServeRungs);
+    slo.record(r, static_cast<double>(i));
   }
   EXPECT_EQ(slo.recorded(), 1000);
 
@@ -928,7 +977,7 @@ TEST(Slo, BurnRatesPerWindowMatchHandComputedBudgetMath) {
   EXPECT_EQ(rep.total_degraded, 10);
   EXPECT_EQ(rep.total_slow, 5);
   EXPECT_EQ(rep.evicted, 0);
-  for (int r = 0; r < SloTracker::kNumRungs; ++r) {
+  for (int r = 0; r < kNumServeRungs; ++r) {
     EXPECT_EQ(rep.rung_count[r], 250);
   }
   ASSERT_EQ(rep.windows.size(), 2u);
@@ -967,10 +1016,9 @@ TEST(Slo, RingEvictionKeepsExactTotalsWhileWindowsUndercount) {
   cfg.windows_s = {1000.0};
   SloTracker slo(cfg);
   for (int i = 0; i < 20; ++i) {
-    SloTracker::Sample s;
-    s.t_s = static_cast<double>(i);
-    s.deadline_met = (i % 2 == 0);  // 10 misses total
-    slo.record(s);
+    RequestContext r;
+    r.deadline_met = (i % 2 == 0);  // 10 misses total
+    slo.record(r, static_cast<double>(i));
   }
   const SloTracker::Report rep = slo.report(19.0);
   EXPECT_EQ(rep.total_requests, 20);       // exact counters survive eviction
@@ -988,13 +1036,12 @@ TEST(Slo, ReportJsonRoundTripsThroughTheV3Block) {
   cfg.windows_s = {60.0, 3600.0};
   SloTracker slo(cfg);
   for (int i = 0; i < 50; ++i) {
-    SloTracker::Sample s;
-    s.t_s = static_cast<double>(i);
-    s.latency_s = 0.01 * (i % 7);
-    s.deadline_met = (i % 10 != 3);
-    s.degraded = (i % 25 == 0);
-    s.rung = i % SloTracker::kNumRungs;
-    slo.record(s);
+    RequestContext r;
+    r.latency_s = 0.01 * (i % 7);
+    r.deadline_met = (i % 10 != 3);
+    r.degraded = (i % 25 == 0);
+    r.rung = static_cast<ServeRung>(i % kNumServeRungs);
+    slo.record(r, static_cast<double>(i));
   }
   const SloTracker::Report rep = slo.report(49.0);
   // Serialise, reparse through the JSON layer, rebuild.
@@ -1016,7 +1063,7 @@ TEST(Slo, ReportJsonRoundTripsThroughTheV3Block) {
     EXPECT_EQ(back.windows[w].deadline_misses, rep.windows[w].deadline_misses);
     EXPECT_DOUBLE_EQ(back.windows[w].worst_burn, rep.windows[w].worst_burn);
   }
-  for (int r = 0; r < SloTracker::kNumRungs; ++r) {
+  for (int r = 0; r < kNumServeRungs; ++r) {
     EXPECT_EQ(back.rung_count[r], rep.rung_count[r]);
   }
   EXPECT_THROW(SloTracker::from_json(JsonValue::object()), RuntimeError);
@@ -1101,11 +1148,10 @@ TEST(RunReportServing, IngestsV3MetricsCountersHistogramAndSloBlock) {
 
   SloTracker slo;
   for (int i = 0; i < 13; ++i) {
-    SloTracker::Sample s;
-    s.t_s = static_cast<double>(i);
-    s.deadline_met = (i >= 2);
-    s.degraded = (i == 5);
-    slo.record(s);
+    RequestContext r;
+    r.deadline_met = (i >= 2);
+    r.degraded = (i == 5);
+    slo.record(r, static_cast<double>(i));
   }
 
   JsonValue doc = metrics.to_json();

@@ -71,14 +71,14 @@ TEST(FlightRecorder, RoundTripsEveryRecordType) {
   FlightRecorder rec(small_config(64, 4, &now));
   const TraceId trace = TraceId::derive(1, 2, 3);
 
-  FlightServePayload serve;
+  RequestContext serve;
+  serve.trace_id = trace;
   serve.program_fp = 0xAAu;
   serve.latency_s = 0.25;
   serve.deadline_s = 0.5;
   serve.stage_s[RequestContext::kSearch] = 0.2;
   serve.worker_id = 3;
-  serve.flags = FlightServePayload::kFlagDeadlineMet;
-  rec.record_serve(serve, trace);
+  rec.record_serve(serve);
 
   const int members[3] = {4, 5, 6};
   now = 2.0;
@@ -281,15 +281,6 @@ TEST(FlightRecorder, InflightTablePublishesTheStageLedger) {
 
 // -------------------------------------------------- ring-drop accounting
 
-TEST(RingAccounting, ServeLogReportsExactDrops) {
-  ServeLog log(4);
-  EXPECT_EQ(log.dropped(), 0);
-  for (int i = 0; i < 10; ++i) log.record(ServeLog::Entry{});
-  EXPECT_EQ(log.recorded(), 10);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.dropped(), 6);
-}
-
 TEST(RingAccounting, DecisionLogReportsExactDrops) {
   DecisionLog log(4);
   const std::vector<KernelId> members = {1, 2};
@@ -329,7 +320,7 @@ TEST(RecorderTee, ServeDecisionsAndOutcomeLandInTheRing) {
   for (const FlightRecord& r : b.records) {
     if (const FlightServePayload* p = r.as_serve()) {
       ++serves;
-      EXPECT_EQ(p->program_fp, hit.key.program_fp);
+      EXPECT_EQ(p->program_fp, hit.program_fp);
       EXPECT_TRUE(r.trace == miss.trace_id || r.trace == hit.trace_id);
     }
     if (r.as_decision() != nullptr && r.trace == miss.trace_id)
@@ -573,11 +564,10 @@ TEST(Watchdog, BurnAndSpikeTriggersAreLatched) {
   FlightRecorder rec(small_config(64, 2, &now));
   SloTracker slo;  // default 0.1% deadline-miss budget
   for (int i = 0; i < 10; ++i) {
-    SloTracker::Sample s;
-    s.t_s = 99.0;
-    s.latency_s = 0.01;
-    s.deadline_met = i >= 5;  // 5 misses in 10 requests: burn way over 1
-    slo.record(s);
+    RequestContext r;
+    r.latency_s = 0.01;
+    r.deadline_met = i >= 5;  // 5 misses in 10 requests: burn way over 1
+    slo.record(r, 99.0);
   }
 
   WatchdogConfig wcfg;

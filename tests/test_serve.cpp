@@ -151,7 +151,7 @@ TEST(PlanServer, MissSearchesThenHitsTheStore) {
   EXPECT_FALSE(hit.degraded);
   EXPECT_TRUE(validator.legal(hit.plan));
   EXPECT_EQ(hit.plan.to_string(), miss.plan.to_string());
-  EXPECT_EQ(hit.key.program_fp, miss.key.program_fp);
+  EXPECT_EQ(hit.program_fp, miss.program_fp);
 
   const auto stats = server.stats();
   EXPECT_EQ(stats.requests, 2);
@@ -370,23 +370,49 @@ TEST(PlanServer, InvalidStoredPlanIsEvictedNeverServed) {
   EXPECT_EQ(server.serve(program, DeviceSpec::k20x()).rung, ServeRung::StoreHit);
 }
 
-TEST(PlanServer, ServeLogIsABoundedRing) {
-  const std::string dir = fresh_dir("log");
+TEST(PlanServer, IllegalStoredGroupIsSplitBeforePolishing) {
+  const std::string dir = fresh_dir("repair");
   PlanStore store(store_config(dir));
   FakeTime time;
-  PlanServerConfig cfg = server_config(time);
-  cfg.log_capacity = 4;
-  PlanServer server(store, cfg);
+  PlanServer server(store, server_config(time));
   const Program program = motivating_example();
+  const DeviceSpec device = DeviceSpec::k20x();
+  Validator validator(program, device);
+  const int n = validator.expansion.program.num_kernels();
 
-  for (int i = 0; i < 6; ++i) server.serve(program, DeviceSpec::k20x());
-  EXPECT_EQ(server.log().recorded(), 6);
-  EXPECT_EQ(server.log().size(), 4u);
-  const auto entries = server.log().entries();
-  ASSERT_EQ(entries.size(), 4u);
-  EXPECT_EQ(entries.front().seq, 3) << "oldest surviving request";
-  EXPECT_EQ(entries.back().seq, 6);
-  EXPECT_EQ(entries.front().rung, ServeRung::StoreHit);
+  // Two kernels that share no array can never form one kernel.
+  KernelId a = -1;
+  KernelId b = -1;
+  for (KernelId i = 0; i < n && a < 0; ++i) {
+    for (KernelId j = i + 1; j < n; ++j) {
+      const KernelId pair[2] = {i, j};
+      if (validator.checker.check_group(pair) == LegalityVerdict::NotConnected) {
+        a = i;
+        b = j;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(a, 0) << "no unconnected kernel pair in the program";
+
+  // Store that illegal group under another device's key: the exact key
+  // misses, and the polish rung must repair the warm start before use.
+  FusionPlan illegal(n);
+  illegal.merge_groups(illegal.group_of(a), illegal.group_of(b));
+  ASSERT_FALSE(validator.legal(illegal));
+  StoredPlan stored;
+  stored.key = {program_fingerprint(validator.expansion.program),
+                device_fingerprint(DeviceSpec::k40())};
+  stored.num_kernels = n;
+  stored.plan_text = illegal.to_string();
+  stored.best_cost_s = 1e-3;
+  stored.baseline_cost_s = 2e-3;
+  store.put(stored);
+
+  const ServeResult r = server.serve(program, device);
+  EXPECT_EQ(r.rung, ServeRung::PolishedStored);
+  EXPECT_TRUE(validator.legal(r.plan));
+  EXPECT_NE(r.plan.group_of(a), r.plan.group_of(b)) << "the illegal group was served";
 }
 
 TEST(PlanServer, EmptyProgramIsAPreconditionViolation) {
@@ -601,40 +627,73 @@ TEST(ServeObservability, ServingIsBitIdenticalWithTelemetryAttached) {
     double cost_s = 0.0;
     ServeRung rung = ServeRung::TrivialFloor;
   };
-  const Program program = motivating_example();
-  const std::vector<DeviceSpec> devices = {DeviceSpec::k20x(), DeviceSpec::k40()};
+  struct Run {
+    std::vector<Observation> served;
+    PlanServer::Stats server;
+    PlanStore::Stats store;
+  };
+  const std::vector<Program> programs = {motivating_example(), scale_les_rk18()};
+  const std::vector<DeviceSpec> devices = {DeviceSpec::k20x(), DeviceSpec::k40(),
+                                           DeviceSpec::gtx750ti()};
 
   const auto run_stream = [&](const std::string& dir, const Telemetry* telemetry) {
-    PlanStore store(store_config(dir));
+    PlanStore::Config store_cfg = store_config(dir);
+    store_cfg.telemetry = telemetry;
+    PlanStore store(store_cfg);
     FakeTime time;
     PlanServerConfig cfg = server_config(time);
     cfg.telemetry = telemetry;
     PlanServer server(store, cfg);
-    std::vector<Observation> out;
+    Run out;
     for (int round = 0; round < 2; ++round) {
-      for (const DeviceSpec& d : devices) {
-        const ServeResult r = server.serve(program, d);
-        out.push_back({r.plan.to_string(), r.cost_s, r.rung});
+      for (const Program& p : programs) {
+        for (const DeviceSpec& d : devices) {
+          const ServeResult r = server.serve(p, d);
+          out.served.push_back({r.plan.to_string(), r.cost_s, r.rung});
+        }
       }
     }
+    out.server = server.stats();
+    out.store = store.stats();
     return out;
   };
 
-  const std::vector<Observation> plain =
-      run_stream(fresh_dir("ident_plain"), nullptr);
+  const Run plain = run_stream(fresh_dir("ident_plain"), nullptr);
+  // Every sink `kfc serve-batch` can attach, the recorder tees included.
   ServeSinks sinks;
-  const std::vector<Observation> traced =
-      run_stream(fresh_dir("ident_traced"), &sinks.telemetry);
+  FlightRecorder recorder;
+  CalibrationTracker calibration;
+  sinks.spans.set_recorder(&recorder);
+  sinks.decisions.set_recorder(&recorder);
+  Telemetry telemetry = sinks.telemetry;
+  telemetry.recorder = &recorder;
+  telemetry.calibration = &calibration;
+  const Run traced = run_stream(fresh_dir("ident_traced"), &telemetry);
 
-  ASSERT_EQ(plain.size(), traced.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(traced[i].plan, plain[i].plan) << "request " << i;
-    EXPECT_DOUBLE_EQ(traced[i].cost_s, plain[i].cost_s) << "request " << i;
-    EXPECT_EQ(traced[i].rung, plain[i].rung) << "request " << i;
+  ASSERT_EQ(plain.served.size(), traced.served.size());
+  for (std::size_t i = 0; i < plain.served.size(); ++i) {
+    EXPECT_EQ(traced.served[i].plan, plain.served[i].plan) << "request " << i;
+    EXPECT_DOUBLE_EQ(traced.served[i].cost_s, plain.served[i].cost_s) << "request " << i;
+    EXPECT_EQ(traced.served[i].rung, plain.served[i].rung) << "request " << i;
   }
+  // Observing must not change what is observed: every run counter matches.
+  // (coalesce_waiting is a point-in-time gauge, not a run counter.)
+  const auto counters = [](const PlanServer::Stats& s) {
+    return std::vector<long>{s.requests, s.store_hits, s.polished, s.full_searches,
+                             s.trivial, s.degraded, s.queued, s.rejected,
+                             s.rejected_overload, s.retries, s.deadline_missed,
+                             s.writebacks, s.writeback_failures, s.invalid_stored,
+                             s.coalesced, s.coalesce_timeouts};
+  };
+  EXPECT_EQ(counters(traced.server), counters(plain.server));
+  EXPECT_EQ(traced.store.puts, plain.store.puts);
+  EXPECT_EQ(traced.store.gets, plain.store.gets);
+  EXPECT_EQ(traced.store.hits, plain.store.hits);
   // ...and the sinks actually observed the traced stream.
   EXPECT_GT(sinks.spans.recorded(), 0);
   EXPECT_GT(sinks.slo.recorded(), 0);
+  EXPECT_EQ(recorder.state().requests_total.load(std::memory_order_relaxed),
+            plain.server.requests);
 }
 
 TEST(ServeObservability, TraceIdsAreReplayStableAndStageLedgerIsBounded) {

@@ -1108,7 +1108,7 @@ int cmd_serve_batch(const Options& opt) {
     double min_headroom = 1.0;  ///< min of 1 - latency/deadline
     long deadline_misses = 0;
   };
-  RungAgg rung_agg[SloTracker::kNumRungs];
+  RungAgg rung_agg[kNumServeRungs];
   long total = 0;
   long legal = 0;
 
@@ -1263,8 +1263,6 @@ int cmd_serve_batch(const Options& opt) {
                   static_cast<double>(recorder->recorded()));
     metrics.gauge("recorder.dropped",
                   static_cast<double>(recorder->dropped()));
-    metrics.gauge("serve.log_dropped",
-                  static_cast<double>(server.log().dropped()));
     if (decisions != nullptr)
       metrics.gauge("decisions.dropped",
                     static_cast<double>(decisions->dropped()));
@@ -1292,19 +1290,14 @@ int cmd_serve_batch(const Options& opt) {
             << " -> " << opt.store_dir << ")\n";
   TextTable rungs({"rung", "requests", "share", "p50", "p95", "p99", "misses",
                    "min headroom"});
-  const struct { const char* name; long n; } kRungRows[] = {
-      {"store_hit", s.store_hits},
-      {"polished_stored", s.polished},
-      {"full_search", s.full_searches},
-      {"trivial_floor", s.trivial},
-  };
-  for (int r = 0; r < SloTracker::kNumRungs; ++r) {
+  for (int r = 0; r < kNumServeRungs; ++r) {
     RungAgg& agg = rung_agg[r];
     std::sort(agg.latencies_s.begin(), agg.latencies_s.end());
     const bool any = !agg.latencies_s.empty();
-    rungs.add(kRungRows[r].name, kRungRows[r].n,
-              fixed(100.0 * static_cast<double>(kRungRows[r].n) /
-                        static_cast<double>(total), 1),
+    const long n = static_cast<long>(agg.latencies_s.size());
+    rungs.add(to_string(static_cast<ServeRung>(r)), n,
+              fixed(100.0 * static_cast<double>(n) / static_cast<double>(total),
+                    1),
               any ? human_time(pct(agg.latencies_s, 50)) : "-",
               any ? human_time(pct(agg.latencies_s, 95)) : "-",
               any ? human_time(pct(agg.latencies_s, 99)) : "-",
@@ -1400,17 +1393,6 @@ int cmd_serve_batch(const Options& opt) {
   return 0;
 }
 
-/// ServeRung ordinal for a wide event's "rung" string; -1 when unknown
-/// (SloTracker ignores out-of-range rungs, so forward-compatible).
-int rung_index(const std::string& name) {
-  static const char* const kNames[SloTracker::kNumRungs] = {
-      "store_hit", "polished_stored", "full_search", "trivial_floor"};
-  for (int r = 0; r < SloTracker::kNumRungs; ++r) {
-    if (name == kNames[r]) return r;
-  }
-  return -1;
-}
-
 /// Replays a wide-event JSONL file through an SloTracker. Returns the
 /// latest event timestamp (the report's "now"); torn/malformed lines are
 /// skipped so a live file mid-append still reads.
@@ -1427,18 +1409,12 @@ double replay_wide_events(const std::string& path, SloTracker& tracker) {
     } catch (const RuntimeError&) {
       continue;  // torn tail of a live file
     }
-    if (event.string_or("type", "") != "serve_request") continue;
-    SloTracker::Sample sample;
-    sample.t_s = event.number_or("ts", 0.0);
-    sample.latency_s = event.number_or("latency_s", 0.0);
-    const JsonValue* met = event.find("deadline_met");
-    sample.deadline_met = met == nullptr || !met->is_bool() || met->as_bool();
-    const JsonValue* degraded = event.find("degraded");
-    sample.degraded =
-        degraded != nullptr && degraded->is_bool() && degraded->as_bool();
-    sample.rung = rung_index(event.string_or("rung", ""));
-    tracker.record(sample);
-    last_ts = std::max(last_ts, sample.t_s);
+    const std::optional<RequestContext> request =
+        RequestContext::from_event(event);
+    if (!request) continue;
+    const double ts = event.number_or("ts", 0.0);
+    tracker.record(*request, ts);
+    last_ts = std::max(last_ts, ts);
   }
   return last_ts;
 }
@@ -1515,21 +1491,12 @@ int cmd_postmortem(const Options& opt) {
 int cmd_top(const Options& opt) {
   if (opt.events_file.empty())
     usage("top needs --events FILE (a serve-batch event log)");
-  struct Recent {
-    long seq = 0;
-    std::string rung;
-    double latency_s = 0.0;
-    bool deadline_met = true;
-    std::string trace;
-  };
   for (;;) {
     std::ifstream in(opt.events_file);
     KF_CHECK(static_cast<bool>(in),
              "cannot open events file '" << opt.events_file << "'");
     long started = 0;
-    long completed = 0;
-    long rung_counts[SloTracker::kNumRungs] = {};
-    std::vector<Recent> recent;  // bounded ring, newest last
+    std::vector<RequestContext> recent;  // bounded ring, newest last
     const std::size_t kRecent = 10;
     SloTracker::Config slo_cfg;
     if (opt.slo_latency_target > 0.0)
@@ -1545,55 +1512,37 @@ int cmd_top(const Options& opt) {
       } catch (const RuntimeError&) {
         continue;  // torn tail of a live file
       }
-      const std::string type = event.string_or("type", "");
-      if (type == "serve_start") {
+      if (event.string_or("type", "") == "serve_start") {
         ++started;
-      } else if (type == "serve_request") {
-        ++completed;
-        const std::string rung = event.string_or("rung", "?");
-        if (const int r = rung_index(rung); r >= 0) ++rung_counts[r];
-        SloTracker::Sample sample;
-        sample.t_s = event.number_or("ts", 0.0);
-        sample.latency_s = event.number_or("latency_s", 0.0);
-        const JsonValue* met = event.find("deadline_met");
-        sample.deadline_met =
-            met == nullptr || !met->is_bool() || met->as_bool();
-        const JsonValue* degraded = event.find("degraded");
-        sample.degraded =
-            degraded != nullptr && degraded->is_bool() && degraded->as_bool();
-        sample.rung = rung_index(rung);
-        tracker.record(sample);
-        last_ts = std::max(last_ts, sample.t_s);
-        Recent r;
-        r.seq = static_cast<long>(event.number_or("seq", 0.0));
-        r.rung = rung;
-        r.latency_s = sample.latency_s;
-        r.deadline_met = sample.deadline_met;
-        r.trace = event.string_or("trace", "");
+      } else if (const std::optional<RequestContext> request =
+                     RequestContext::from_event(event)) {
+        const double ts = event.number_or("ts", 0.0);
+        tracker.record(*request, ts);
+        last_ts = std::max(last_ts, ts);
         if (recent.size() == kRecent) recent.erase(recent.begin());
-        recent.push_back(std::move(r));
+        recent.push_back(*request);
       }
     }
+    const long completed = tracker.recorded();
+    const SloTracker::Report report = tracker.report(last_ts);
     std::ostringstream os;
     os << "kfc top — " << opt.events_file << "\n";
     os << "in-flight " << std::max<long>(0, started - completed)
        << ", completed " << completed << "\n";
     if (completed > 0) {
-      static const char* const kNames[SloTracker::kNumRungs] = {
-          "store_hit", "polished_stored", "full_search", "trivial_floor"};
       TextTable rungs({"rung", "requests", "share"});
-      for (int r = 0; r < SloTracker::kNumRungs; ++r) {
-        rungs.add(kNames[r], rung_counts[r],
-                  fixed(100.0 * static_cast<double>(rung_counts[r]) /
+      for (int r = 0; r < kNumServeRungs; ++r) {
+        rungs.add(to_string(static_cast<ServeRung>(r)), report.rung_count[r],
+                  fixed(100.0 * static_cast<double>(report.rung_count[r]) /
                             static_cast<double>(completed), 1));
       }
       os << rungs.to_string();
-      os << tracker.report(last_ts).render();
+      os << report.render();
       TextTable table({"seq", "rung", "latency", "deadline", "trace"});
-      for (const Recent& r : recent) {
-        table.add(r.seq, r.rung, human_time(r.latency_s),
+      for (const RequestContext& r : recent) {
+        table.add(r.seq, to_string(r.rung), human_time(r.latency_s),
                   r.deadline_met ? "ok" : "MISS",
-                  r.trace.empty() ? "-" : r.trace.substr(0, 16));
+                  r.trace_id.valid() ? r.trace_id.to_hex().substr(0, 16) : "-");
       }
       os << "last " << recent.size() << " requests:\n" << table.to_string();
     } else {
