@@ -1,8 +1,9 @@
 #include "fusion/legality.hpp"
 
-#include <algorithm>
+#include <mutex>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace kf {
 
@@ -56,53 +57,91 @@ LegalityVerdict LegalityChecker::check_group(std::span<const KernelId> group) co
   // (1.3) convexity under the precedence DAG.
   if (!exec_.group_is_convex(group)) return LegalityVerdict::NotConvex;
 
+  return resource_verdict(group);
+}
+
+std::size_t LegalityChecker::MaskHash::operator()(
+    const std::vector<std::uint64_t>& mask) const noexcept {
+  std::uint64_t h = mask.size();
+  for (std::uint64_t w : mask) h = mix64(h ^ w);
+  return static_cast<std::size_t>(h);
+}
+
+LegalityVerdict LegalityChecker::resource_verdict(std::span<const KernelId> group) const {
+  // The key is the member mask itself: member order does not matter, and
+  // the checks above already rejected repeated and out-of-range members.
+  thread_local std::vector<std::uint64_t> key;
+  key.assign(static_cast<std::size_t>((program_.num_kernels() + 63) / 64), 0);
+  set_member_bits(key, group, program_.num_kernels());
+  {
+    const std::shared_lock lock(memo_mutex_);
+    const auto hit = memo_.find(key);
+    if (hit != memo_.end()) return hit->second;
+  }
   // (1.6)/(1.7): resource footprint of the would-be generated kernel.
   const LaunchDescriptor d = builder_.build(group);
+  LegalityVerdict verdict = LegalityVerdict::Ok;
   if (d.regs_per_thread > device_.max_regs_per_thread) {
-    return LegalityVerdict::RegOverflow;
+    verdict = LegalityVerdict::RegOverflow;
+  } else if (d.smem_per_block_bytes > device_.smem_per_smx) {
+    verdict = LegalityVerdict::SmemOverflow;
   }
-  if (d.smem_per_block_bytes > device_.smem_per_smx) {
-    return LegalityVerdict::SmemOverflow;
-  }
-  return LegalityVerdict::Ok;
+  const std::unique_lock lock(memo_mutex_);
+  memo_.try_emplace(key, verdict);
+  return verdict;
 }
 
 std::vector<int> LegalityChecker::cyclic_groups(const FusionPlan& plan) const {
   // Kahn's algorithm over the condensation; whatever cannot be peeled off
-  // sits on a cycle.
+  // sits on a cycle (or downstream of one). The condensation is built one
+  // source group at a time, so a per-target stamp of the current source
+  // dedupes its edges; all buffers are reused across calls.
+  struct Scratch {
+    std::vector<int> edge_begin;  // group g's edges: edges[edge_begin[g], edge_begin[g+1])
+    std::vector<int> edges;
+    std::vector<int> indegree;
+    std::vector<int> stamp;  // last source group that linked to this target
+    std::vector<int> ready;
+  };
+  thread_local Scratch s;
   const int ng = plan.num_groups();
-  std::vector<std::vector<int>> succ(static_cast<std::size_t>(ng));
-  std::vector<int> indegree(static_cast<std::size_t>(ng), 0);
   const Dag& kernel_dag = exec_.dag();
-  for (KernelId u = 0; u < kernel_dag.size(); ++u) {
-    const int gu = plan.group_of(u);
-    for (int v : kernel_dag.successors(u)) {
-      const int gv = plan.group_of(static_cast<KernelId>(v));
-      if (gu == gv) continue;
-      auto& s = succ[static_cast<std::size_t>(gu)];
-      if (std::find(s.begin(), s.end(), gv) == s.end()) {
-        s.push_back(gv);
-        ++indegree[static_cast<std::size_t>(gv)];
+  s.edge_begin.clear();
+  s.edges.clear();
+  s.indegree.assign(static_cast<std::size_t>(ng), 0);
+  s.stamp.assign(static_cast<std::size_t>(ng), -1);
+  for (int gu = 0; gu < ng; ++gu) {
+    s.edge_begin.push_back(static_cast<int>(s.edges.size()));
+    for (KernelId u : plan.group(gu)) {
+      for (int v : kernel_dag.successors(u)) {
+        const int gv = plan.group_of(static_cast<KernelId>(v));
+        if (gv == gu || s.stamp[static_cast<std::size_t>(gv)] == gu) continue;
+        s.stamp[static_cast<std::size_t>(gv)] = gu;
+        s.edges.push_back(gv);
+        ++s.indegree[static_cast<std::size_t>(gv)];
       }
     }
   }
-  std::vector<int> ready;
+  s.edge_begin.push_back(static_cast<int>(s.edges.size()));
+  s.ready.clear();
   for (int g = 0; g < ng; ++g) {
-    if (indegree[static_cast<std::size_t>(g)] == 0) ready.push_back(g);
+    if (s.indegree[static_cast<std::size_t>(g)] == 0) s.ready.push_back(g);
   }
   int peeled = 0;
-  while (!ready.empty()) {
-    const int g = ready.back();
-    ready.pop_back();
+  while (!s.ready.empty()) {
+    const int g = s.ready.back();
+    s.ready.pop_back();
     ++peeled;
-    for (int v : succ[static_cast<std::size_t>(g)]) {
-      if (--indegree[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
+    for (int e = s.edge_begin[static_cast<std::size_t>(g)];
+         e < s.edge_begin[static_cast<std::size_t>(g) + 1]; ++e) {
+      const int v = s.edges[static_cast<std::size_t>(e)];
+      if (--s.indegree[static_cast<std::size_t>(v)] == 0) s.ready.push_back(v);
     }
   }
   std::vector<int> stuck;
   if (peeled < ng) {
     for (int g = 0; g < ng; ++g) {
-      if (indegree[static_cast<std::size_t>(g)] > 0) stuck.push_back(g);
+      if (s.indegree[static_cast<std::size_t>(g)] > 0) stuck.push_back(g);
     }
   }
   return stuck;

@@ -13,11 +13,23 @@
 // original sum — is the search objective's job, not legality.
 //
 // Checks are ordered cheapest-first and stop at the first violation (the
-// paper's active-constraint pruning).
+// paper's active-constraint pruning). Phase, kinship and convexity are word
+// operations on the group's member mask; the (1.6)/(1.7) verdict needs the
+// fused kernel's descriptor, so it is computed once per member set and kept
+// in a memo keyed on the exact member mask (a hash picks the bucket, mask
+// equality decides the hit, so a hash collision cannot serve a wrong
+// verdict). The memo depends only on this checker's program and device, is
+// shared by every thread using the checker (readers take a shared lock,
+// inserts an exclusive one), and holds only groups that passed the cheap
+// checks.
 #pragma once
 
+#include <cstdint>
+#include <shared_mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "fusion/fused_kernel.hpp"
 #include "fusion/fusion_plan.hpp"
@@ -53,7 +65,7 @@ class LegalityChecker {
   const SharingGraph& sharing() const noexcept { return sharing_; }
   const FusedKernelBuilder& builder() const noexcept { return builder_; }
 
-  /// Full check of one group, cheapest constraint first.
+  /// Full check of one group, cheapest constraint first. Thread-safe.
   LegalityVerdict check_group(std::span<const KernelId> group) const;
 
   bool group_is_legal(std::span<const KernelId> group) const {
@@ -68,7 +80,9 @@ class LegalityChecker {
   /// emit a valid launch order.
   bool plan_is_schedulable(const FusionPlan& plan) const;
 
-  /// Group indices stuck on condensation cycles (empty iff schedulable).
+  /// Group indices stuck on condensation cycles, ascending (empty iff
+  /// schedulable). Allocates only the result once the calling thread's
+  /// scratch is warm.
   std::vector<int> cyclic_groups(const FusionPlan& plan) const;
 
   /// All groups legal *and* the plan schedulable?
@@ -84,6 +98,15 @@ class LegalityChecker {
   ExecutionOrderGraph exec_;
   SharingGraph sharing_;
   FusedKernelBuilder builder_;
+
+  /// (1.6)/(1.7) for a group that passed the cheap checks, through the memo.
+  LegalityVerdict resource_verdict(std::span<const KernelId> group) const;
+
+  struct MaskHash {
+    std::size_t operator()(const std::vector<std::uint64_t>& mask) const noexcept;
+  };
+  mutable std::shared_mutex memo_mutex_;
+  mutable std::unordered_map<std::vector<std::uint64_t>, LegalityVerdict, MaskHash> memo_;
 };
 
 }  // namespace kf

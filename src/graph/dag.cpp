@@ -43,6 +43,26 @@ int BitMatrix::row_popcount(int r) const noexcept {
   return count;
 }
 
+BitMatrix BitMatrix::transposed() const {
+  BitMatrix t(n_);
+  for (int r = 0; r < n_; ++r) {
+    const auto words = row(r);
+    for (int w = 0; w < wpr_; ++w) {
+      for (std::uint64_t bits = words[static_cast<std::size_t>(w)]; bits != 0; bits &= bits - 1) {
+        t.set(w * 64 + std::countr_zero(bits), r);
+      }
+    }
+  }
+  return t;
+}
+
+void set_member_bits(std::span<std::uint64_t> mask, std::span<const int> ids, int n) {
+  for (int id : ids) {
+    KF_REQUIRE(id >= 0 && id < n, "kernel id " << id << " out of range");
+    mask[static_cast<std::size_t>(id) / 64] |= std::uint64_t{1} << (id % 64);
+  }
+}
+
 Dag::Dag(int n) : n_(n), succ_(static_cast<std::size_t>(n)), pred_(static_cast<std::size_t>(n)) {
   KF_REQUIRE(n >= 0, "Dag size must be non-negative");
 }
@@ -128,16 +148,7 @@ BitMatrix Dag::reachability() const {
   return reach;
 }
 
-BitMatrix Dag::reverse_reachability() const {
-  const BitMatrix fwd = reachability();
-  BitMatrix rev(n_);
-  for (int u = 0; u < n_; ++u) {
-    for (int v = 0; v < n_; ++v) {
-      if (fwd.get(u, v)) rev.set(v, u);
-    }
-  }
-  return rev;
-}
+BitMatrix Dag::reverse_reachability() const { return reachability().transposed(); }
 
 Dag Dag::transitive_reduction() const {
   const BitMatrix reach = reachability();

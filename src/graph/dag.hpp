@@ -35,11 +35,19 @@ class BitMatrix {
   /// Number of set bits in a row.
   int row_popcount(int r) const noexcept;
 
+  /// result.get(c, r) == get(r, c).
+  BitMatrix transposed() const;
+
  private:
   int n_ = 0;
   int wpr_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Sets the bit of every id in `ids` in the word mask `mask` (bit i lives in
+/// word i / 64). Each id is checked to lie in [0, n) before its bit is set;
+/// an id outside throws kf::PreconditionError.
+void set_member_bits(std::span<std::uint64_t> mask, std::span<const int> ids, int n);
 
 /// Directed graph over vertices [0, n); must be acyclic for the queries
 /// below (verified by topological_order / is_dag).

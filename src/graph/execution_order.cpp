@@ -21,6 +21,7 @@ ExecutionOrderGraph ExecutionOrderGraph::build(const Program& program,
     g.dag_.add_edge(e.from, e.to);
   }
   g.reach_ = g.dag_.reachability();
+  g.ancestors_ = g.reach_.transposed();
   return g;
 }
 
@@ -40,24 +41,26 @@ bool ExecutionOrderGraph::has_internal_precedence(std::span<const KernelId> grou
 
 bool ExecutionOrderGraph::group_is_convex(std::span<const KernelId> group) const {
   if (group.size() <= 1) return true;
-  // Membership bitmap for O(1) "in group" tests.
-  std::vector<char> in_group(static_cast<std::size_t>(dag_.size()), 0);
+  // A kernel c outside the group sits on a path a -> c -> b between two
+  // members exactly when c is both a descendant and an ancestor of the
+  // group, so one pass of row ORs over the members decides (1.3).
+  const auto words = static_cast<std::size_t>(reach_.words_per_row());
+  thread_local std::vector<std::uint64_t> scratch;
+  scratch.assign(3 * words, 0);
+  const std::span<std::uint64_t> in(scratch.data(), words);
+  const std::span<std::uint64_t> below(scratch.data() + words, words);
+  const std::span<std::uint64_t> above(scratch.data() + 2 * words, words);
+  set_member_bits(in, group, dag_.size());
   for (KernelId k : group) {
-    KF_REQUIRE(k >= 0 && k < dag_.size(), "kernel id " << k << " out of range");
-    in_group[static_cast<std::size_t>(k)] = 1;
-  }
-  // For every ordered pair (a, b) with a -> b, any c with a -> c -> b must
-  // be in the group. Scan candidates via the reachability rows.
-  for (KernelId a : group) {
-    for (KernelId b : group) {
-      if (a == b || !reach_.get(a, b)) continue;
-      for (int c = 0; c < dag_.size(); ++c) {
-        if (!in_group[static_cast<std::size_t>(c)] && reach_.get(a, c) &&
-            reach_.get(c, b)) {
-          return false;
-        }
-      }
+    const auto down = reach_.row(k);
+    const auto up = ancestors_.row(k);
+    for (std::size_t w = 0; w < words; ++w) {
+      below[w] |= down[w];
+      above[w] |= up[w];
     }
+  }
+  for (std::size_t w = 0; w < words; ++w) {
+    if ((below[w] & above[w] & ~in[w]) != 0) return false;
   }
   return true;
 }

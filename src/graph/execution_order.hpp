@@ -6,9 +6,10 @@
 // here with dense bitsets:
 //  * must_precede(a, b)   — a path a -> b exists;
 //  * group_is_convex(G)   — constraint (1.3): for every a, b in G, every
-//    kernel on any path a -> b is also in G. Contracting convex groups of a
-//    DAG always yields a DAG, so convexity alone guarantees the fused
-//    program still has a valid execution order.
+//    kernel on any path a -> b is also in G. A convex group can be fused
+//    without an outside kernel having to run in its middle; whether the
+//    fused groups of a whole plan can still be ordered is the plan-level
+//    check, LegalityChecker::cyclic_groups.
 #pragma once
 
 #include <span>
@@ -37,6 +38,9 @@ class ExecutionOrderGraph {
   bool has_internal_precedence(std::span<const KernelId> group) const;
 
   /// Constraint (1.3): the group is path-closed under the precedence DAG.
+  /// Word-parallel: convex iff (descendants of the members) AND (ancestors
+  /// of the members) lies inside the group's mask. Throws on an id out of
+  /// range; allocates nothing once the calling thread's scratch is warm.
   bool group_is_convex(std::span<const KernelId> group) const;
 
   /// Kernels strictly between a and b on some path (empty when none).
@@ -50,7 +54,8 @@ class ExecutionOrderGraph {
 
  private:
   Dag dag_;
-  BitMatrix reach_;   // reach_.get(a, b): path a -> b exists
+  BitMatrix reach_;      // reach_.get(a, b): path a -> b exists
+  BitMatrix ancestors_;  // ancestors_.get(b, a): path a -> b exists
 };
 
 }  // namespace kf

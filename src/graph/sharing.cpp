@@ -1,6 +1,7 @@
 #include "graph/sharing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <set>
 
@@ -29,8 +30,10 @@ SharingGraph SharingGraph::build(const Program& program) {
       }
     }
   }
+  g.adj_bits_ = BitMatrix(program.num_kernels());
   for (std::size_t k = 0; k < nk; ++k) {
     g.adj_[k].assign(adj_sets[k].begin(), adj_sets[k].end());
+    for (KernelId n : g.adj_[k]) g.adj_bits_.set(static_cast<int>(k), n);
   }
   return g;
 }
@@ -95,26 +98,34 @@ int SharingGraph::kinship(KernelId a, KernelId b) const {
 
 bool SharingGraph::group_connected(std::span<const KernelId> group) const {
   if (group.size() <= 1) return true;
-  std::vector<char> in_group(adj_.size(), 0);
-  for (KernelId k : group) {
-    KF_REQUIRE(k >= 0 && k < num_kernels(), "kernel id " << k << " out of range");
-    in_group[static_cast<std::size_t>(k)] = 1;
-  }
-  std::vector<char> seen(adj_.size(), 0);
-  std::queue<KernelId> frontier;
-  frontier.push(group[0]);
-  seen[static_cast<std::size_t>(group[0])] = 1;
+  const auto words = static_cast<std::size_t>(adj_bits_.words_per_row());
+  thread_local std::vector<std::uint64_t> scratch;
+  scratch.assign(4 * words, 0);
+  const std::span<std::uint64_t> in(scratch.data(), words);
+  const std::span<std::uint64_t> seen(scratch.data() + words, words);
+  std::span<std::uint64_t> frontier(scratch.data() + 2 * words, words);
+  std::span<std::uint64_t> next(scratch.data() + 3 * words, words);
+  set_member_bits(in, group, num_kernels());
+  const auto first = static_cast<std::size_t>(group[0]);
+  seen[first / 64] = frontier[first / 64] = std::uint64_t{1} << (first % 64);
   std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const KernelId u = frontier.front();
-    frontier.pop();
-    for (KernelId v : adj_[static_cast<std::size_t>(u)]) {
-      if (in_group[static_cast<std::size_t>(v)] && !seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        ++reached;
-        frontier.push(v);
+  while (reached < group.size()) {
+    std::fill(next.begin(), next.end(), 0);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = frontier[w]; bits != 0; bits &= bits - 1) {
+        const auto row = adj_bits_.row(static_cast<int>(w * 64) + std::countr_zero(bits));
+        for (std::size_t x = 0; x < words; ++x) next[x] |= row[x];
       }
     }
+    std::size_t added = 0;
+    for (std::size_t x = 0; x < words; ++x) {
+      next[x] &= in[x] & ~seen[x];
+      seen[x] |= next[x];
+      added += static_cast<std::size_t>(std::popcount(next[x]));
+    }
+    if (added == 0) break;
+    reached += added;
+    std::swap(frontier, next);
   }
   return reached == group.size();
 }

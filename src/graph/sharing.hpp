@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/dag.hpp"
 #include "ir/program.hpp"
 
 namespace kf {
@@ -39,13 +40,18 @@ class SharingGraph {
   /// global sharing graph, 0 when disconnected (or a == b).
   int kinship(KernelId a, KernelId b) const;
 
-  /// Connectivity of the subgraph induced by `group` (singletons: true).
+  /// Connectivity of the subgraph induced by `group` (singletons: true): a
+  /// frontier BFS over adjacency bit rows, masked by the group. A repeated
+  /// member counts as unreached, so such a group is never connected. Throws
+  /// on an id out of range; allocates nothing once the calling thread's
+  /// scratch is warm.
   bool group_connected(std::span<const KernelId> group) const;
 
   const std::vector<KernelId>& neighbours(KernelId k) const;
 
  private:
   std::vector<std::vector<KernelId>> adj_;            // kernel -> kernels sharing an array
+  BitMatrix adj_bits_;                                // adj_ as bit rows
   std::vector<std::vector<KernelId>> array_kernels_;  // array -> kernels touching it
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -86,9 +85,16 @@ int StencilPattern::vertical_radius() const noexcept {
 }
 
 int StencilPattern::thread_load() const noexcept {
-  std::set<std::pair<int, int>> horizontal;
-  for (const auto& o : offsets_) horizontal.emplace(o.dx, o.dy);
-  return static_cast<int>(horizontal.size());
+  // offsets_ is sorted by (dx, dy, dz), so equal (dx, dy) pairs are
+  // adjacent: count the runs.
+  int load = 0;
+  for (std::size_t i = 0; i < offsets_.size(); ++i) {
+    if (i == 0 || offsets_[i].dx != offsets_[i - 1].dx ||
+        offsets_[i].dy != offsets_[i - 1].dy) {
+      ++load;
+    }
+  }
+  return load;
 }
 
 StencilPattern StencilPattern::merged_with(const StencilPattern& other) const {

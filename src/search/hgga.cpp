@@ -288,13 +288,27 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
     }
   }
   for (int i = 0; i < injected.size(); ++i) groups.append(injected.group(i));
+  s.owner.assign(static_cast<std::size_t>(a.plan.num_kernels()), -1);
+  for (int g = 0; g < groups.size(); ++g) {
+    for (KernelId k : groups.group(g)) s.owner[static_cast<std::size_t>(k)] = g;
+  }
 
-  // Re-insert orphans: best legal host group by marginal cost, else singleton.
+  // Re-insert orphans: best legal host group by marginal cost, else
+  // singleton. Only a group holding a sharing neighbour of k can host it —
+  // any other host fails kinship (1.5) — so those are the only candidates,
+  // visited in ascending group index as a scan of every group would.
   rng.shuffle(s.orphans);
   for (KernelId k : s.orphans) {
+    s.hosts.clear();
+    for (KernelId n : checker.sharing().neighbours(k)) {
+      const int g = s.owner[static_cast<std::size_t>(n)];
+      if (g >= 0) s.hosts.push_back(g);
+    }
+    std::sort(s.hosts.begin(), s.hosts.end());
+    s.hosts.erase(std::unique(s.hosts.begin(), s.hosts.end()), s.hosts.end());
     int best_group = -1;
     double best_delta = std::numeric_limits<double>::infinity();
-    for (int g = 0; g < groups.size(); ++g) {
+    for (int g : s.hosts) {
       const auto host = groups.group(g);
       s.candidate.assign(host.begin(), host.end());
       s.candidate.insert(std::lower_bound(s.candidate.begin(), s.candidate.end(), k), k);
@@ -309,8 +323,10 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
     const double solo = objective_.original_time(k);
     if (best_group >= 0 && best_delta < solo) {
       groups.insert_member(best_group, k);
+      s.owner[static_cast<std::size_t>(k)] = best_group;
     } else {
       groups.append_singleton(k);
+      s.owner[static_cast<std::size_t>(k)] = groups.size() - 1;
     }
   }
 

@@ -156,6 +156,8 @@ class Hgga {
     std::vector<int> fused_groups;  ///< parent-b fused group indices
     std::vector<char> taken;        ///< kernels claimed by injected groups
     std::vector<KernelId> orphans;  ///< members of dissolved groups
+    std::vector<int> owner;         ///< kernel -> index in `groups` (-1: unplaced orphan)
+    std::vector<int> hosts;         ///< groups holding a sharing neighbour of one orphan
     std::vector<KernelId> candidate;  ///< host-group trial for one orphan
     std::vector<KernelId> members;  ///< merge/move member scratch (mutate)
     std::vector<FusionPlan> batch;  ///< dirty offspring plans (evaluate)

@@ -18,9 +18,10 @@ namespace kf {
 
 /// The per-(program, device) evaluation stack. Declaration order is
 /// construction order: the objective borrows everything above it. Immutable
-/// after construction apart from the Objective's internally-synchronised
-/// state (atomic counters, lock-striped group-cost cache), so concurrent
-/// requests share one Context freely.
+/// after construction apart from internally-synchronised state (the
+/// Objective's atomic counters and lock-striped group-cost cache, the
+/// checker's resource-verdict memo), so concurrent requests share one
+/// Context freely.
 struct PlanServer::Context {
   ExpansionResult expansion;
   DeviceSpec device;

@@ -2,6 +2,9 @@
 // construction, legality constraints, the transformer, reducible traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "apps/motivating_example.hpp"
 #include "apps/scale_les.hpp"
 #include "fusion/fused_kernel.hpp"
@@ -139,7 +142,11 @@ TEST(Legality, DisconnectedGroupRejected) {
   const LegalityChecker checker(p, DeviceSpec::k20x());
   // Kern_A and Kern_C share nothing.
   const std::vector<KernelId> ac{p.find_kernel("Kern_A"), p.find_kernel("Kern_C")};
-  EXPECT_EQ(checker.check_group(ac), LegalityVerdict::NotConnected);
+  const std::vector<KernelId> ca(ac.rbegin(), ac.rend());
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(checker.check_group(ac), LegalityVerdict::NotConnected);
+    EXPECT_EQ(checker.check_group(ca), LegalityVerdict::NotConnected);
+  }
 }
 
 TEST(Legality, NonConvexGroupRejected) {
@@ -200,7 +207,12 @@ TEST(Legality, SmemOverflowDetected) {
   const LegalityChecker checker(p, tiny);
   const std::vector<KernelId> cde{p.find_kernel("Kern_C"), p.find_kernel("Kern_D"),
                                   p.find_kernel("Kern_E")};
-  EXPECT_EQ(checker.check_group(cde), LegalityVerdict::SmemOverflow);
+  const std::vector<KernelId> edc(cde.rbegin(), cde.rend());
+  // The second pass and the reversed order are answered by the memo.
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(checker.check_group(cde), LegalityVerdict::SmemOverflow);
+    EXPECT_EQ(checker.check_group(edc), LegalityVerdict::SmemOverflow);
+  }
 }
 
 TEST(Legality, RegOverflowDetected) {
@@ -210,7 +222,83 @@ TEST(Legality, RegOverflowDetected) {
   const LegalityChecker checker(p, regs);
   const std::vector<KernelId> cde{p.find_kernel("Kern_C"), p.find_kernel("Kern_D"),
                                   p.find_kernel("Kern_E")};
-  EXPECT_EQ(checker.check_group(cde), LegalityVerdict::RegOverflow);
+  const std::vector<KernelId> edc(cde.rbegin(), cde.rend());
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(checker.check_group(cde), LegalityVerdict::RegOverflow);
+    EXPECT_EQ(checker.check_group(edc), LegalityVerdict::RegOverflow);
+  }
+}
+
+TEST(Legality, RepeatedAndOutOfRangeMembers) {
+  const Program p = motivating_example(GridDims{64, 32, 8});
+  const LegalityChecker checker(p, DeviceSpec::k20x());
+  const KernelId c = p.find_kernel("Kern_C");
+  const KernelId d = p.find_kernel("Kern_D");
+  const KernelId e = p.find_kernel("Kern_E");
+  const std::vector<KernelId> cde{c, d, e};
+  ASSERT_EQ(checker.check_group(cde), LegalityVerdict::Ok);
+  // A repeated member is not a distinct kernel: the group cannot be
+  // connected, even when its distinct members are a known-legal group.
+  const std::vector<KernelId> cc{c, c};
+  const std::vector<KernelId> cdde{c, d, d, e};
+  EXPECT_EQ(checker.check_group(cc), LegalityVerdict::NotConnected);
+  EXPECT_EQ(checker.check_group(cdde), LegalityVerdict::NotConnected);
+  // Bad ids throw, and leave the checker answering as before.
+  const std::vector<KernelId> past_end{c, p.num_kernels()};
+  const std::vector<KernelId> negative{c, -1};
+  const std::vector<KernelId> far{e, d, 1 << 20};
+  EXPECT_THROW(checker.check_group(past_end), PreconditionError);
+  EXPECT_THROW(checker.check_group(negative), PreconditionError);
+  EXPECT_THROW(checker.check_group(far), PreconditionError);
+  EXPECT_EQ(checker.check_group(cde), LegalityVerdict::Ok);
+  EXPECT_EQ(checker.check_group(cc), LegalityVerdict::NotConnected);
+}
+
+TEST(Legality, ConcurrentChecksMatchSerial) {
+  // Groups grown along sharing links on a wide program, so many of them
+  // reach the resource check; a small SMEM budget makes some overflow.
+  const Program p = scale_les_rk18(GridDims{64, 32, 8});
+  const DeviceSpec device = DeviceSpec::k20x().with_smem_capacity(12 * 1024);
+  const LegalityChecker serial(p, device);
+  Rng rng(2024);
+  std::vector<std::vector<KernelId>> groups;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<KernelId> g{static_cast<KernelId>(
+        rng.next_below(static_cast<std::uint64_t>(p.num_kernels())))};
+    const int size = 2 + static_cast<int>(rng.next_below(5));
+    for (int tries = 0; tries < 20 && static_cast<int>(g.size()) < size; ++tries) {
+      const auto& nb = serial.sharing().neighbours(g[rng.next_below(g.size())]);
+      if (nb.empty()) continue;
+      const KernelId k = nb[rng.next_below(nb.size())];
+      if (std::find(g.begin(), g.end(), k) == g.end()) g.push_back(k);
+    }
+    groups.push_back(std::move(g));
+  }
+  std::vector<LegalityVerdict> expected;
+  std::vector<int> seen(7, 0);
+  for (const auto& g : groups) {
+    expected.push_back(serial.check_group(g));
+    ++seen[static_cast<std::size_t>(expected.back())];
+  }
+  ASSERT_GT(seen[static_cast<std::size_t>(LegalityVerdict::Ok)], 0);
+  ASSERT_GT(seen[static_cast<std::size_t>(LegalityVerdict::SmemOverflow)], 0);
+
+  const LegalityChecker shared(p, device);
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the list from its own offset, so first checks of
+      // the same group race across threads.
+      for (std::size_t i = 0; i < groups.size(); ++i) {
+        const std::size_t j = (i + static_cast<std::size_t>(t) * 50) % groups.size();
+        if (shared.check_group(groups[j]) != expected[j]) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << t;
 }
 
 TEST(Legality, CheckPlanReportsViolatingGroup) {

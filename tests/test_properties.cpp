@@ -10,8 +10,10 @@
 #include "gpu/bank_conflicts.hpp"
 #include "ir/program_io.hpp"
 #include "graph/sharing.hpp"
+#include "fusion/legality.hpp"
 #include "fusion/transformer.hpp"
 #include "graph/array_expansion.hpp"
+#include "graph/execution_order.hpp"
 #include "model/proposed_model.hpp"
 #include "model/roofline_model.hpp"
 #include "search/hgga.hpp"
@@ -409,6 +411,215 @@ TEST_P(DagSweep, KinshipIsSymmetricAndTriangular) {
         }
       }
     }
+  }
+}
+
+// Word-boundary oracles. The legality queries work on member bit masks, so
+// they are checked on 70- and 130-kernel programs (2 and 3 words per mask)
+// against brute force that never reads the graphs' own bit matrices.
+Program wide_program(int kernels, std::uint64_t seed) {
+  TestSuiteConfig cfg;
+  cfg.kernels = kernels;
+  cfg.arrays = 2 * kernels;
+  cfg.seed = seed;
+  cfg.grid = GridDims{64, 32, 4};
+  return make_testsuite_program(cfg);
+}
+
+constexpr int kWideKernelCounts[] = {70, 130};
+constexpr int kWideSamples = 200;
+
+/// reach[u][v]: a nonempty path u -> v, by DFS over Dag::successors.
+std::vector<std::vector<char>> path_closure_by_dfs(const Dag& dag) {
+  const auto n = static_cast<std::size_t>(dag.size());
+  std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
+  for (int u = 0; u < dag.size(); ++u) {
+    std::vector<int> stack(dag.successors(u).begin(), dag.successors(u).end());
+    auto& row = reach[static_cast<std::size_t>(u)];
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      if (row[static_cast<std::size_t>(v)]) continue;
+      row[static_cast<std::size_t>(v)] = 1;
+      for (int w : dag.successors(v)) stack.push_back(w);
+    }
+  }
+  return reach;
+}
+
+/// A random member set: uniform picks, a set grown along sharing links, or
+/// a path-closed pair {a, b} plus every kernel between them.
+std::vector<KernelId> random_member_set(Rng& rng, const SharingGraph& sharing,
+                                        const std::vector<std::vector<char>>& reach) {
+  const int n = sharing.num_kernels();
+  std::vector<char> in(static_cast<std::size_t>(n), 0);
+  std::vector<KernelId> g;
+  auto add = [&](KernelId k) {
+    if (!in[static_cast<std::size_t>(k)]) {
+      in[static_cast<std::size_t>(k)] = 1;
+      g.push_back(k);
+    }
+  };
+  const auto pick = [&] { return static_cast<KernelId>(rng.next_below(static_cast<std::uint64_t>(n))); };
+  const int target = 2 + static_cast<int>(rng.next_below(11));
+  switch (rng.next_below(3)) {
+    case 0:
+      while (static_cast<int>(g.size()) < target) add(pick());
+      break;
+    case 1:
+      add(pick());
+      for (int tries = 0; tries < 4 * target && static_cast<int>(g.size()) < target; ++tries) {
+        const auto& nb = sharing.neighbours(g[rng.next_below(g.size())]);
+        if (!nb.empty()) add(nb[rng.next_below(nb.size())]);
+      }
+      break;
+    default: {
+      const KernelId a = pick();
+      const KernelId b = pick();
+      add(a);
+      add(b);
+      for (KernelId c = 0; c < n; ++c) {
+        if (reach[static_cast<std::size_t>(a)][static_cast<std::size_t>(c)] &&
+            reach[static_cast<std::size_t>(c)][static_cast<std::size_t>(b)]) {
+          add(c);
+        }
+      }
+    }
+  }
+  rng.shuffle(g);  // callers pass unsorted groups too
+  return g;
+}
+
+TEST_P(DagSweep, WideConvexityMatchesPathClosureOracle) {
+  for (int kernels : kWideKernelCounts) {
+    const Program p = wide_program(kernels, GetParam());
+    const ExecutionOrderGraph exec = ExecutionOrderGraph::build(p);
+    const SharingGraph sharing = SharingGraph::build(p);
+    const auto reach = path_closure_by_dfs(exec.dag());
+    Rng rng(GetParam() * 31 + static_cast<std::uint64_t>(kernels));
+    int convex = 0;
+    for (int s = 0; s < kWideSamples; ++s) {
+      const std::vector<KernelId> g = random_member_set(rng, sharing, reach);
+      std::vector<char> in(static_cast<std::size_t>(kernels), 0);
+      for (KernelId k : g) in[static_cast<std::size_t>(k)] = 1;
+      bool expected = true;
+      for (KernelId a : g) {
+        for (KernelId b : g) {
+          for (KernelId c = 0; c < kernels && expected; ++c) {
+            if (!in[static_cast<std::size_t>(c)] &&
+                reach[static_cast<std::size_t>(a)][static_cast<std::size_t>(c)] &&
+                reach[static_cast<std::size_t>(c)][static_cast<std::size_t>(b)]) {
+              expected = false;
+            }
+          }
+        }
+      }
+      ASSERT_EQ(exec.group_is_convex(g), expected) << kernels << " kernels, sample " << s;
+      convex += expected ? 1 : 0;
+    }
+    EXPECT_GT(convex, 0) << kernels;
+    EXPECT_LT(convex, kWideSamples) << kernels;
+  }
+}
+
+TEST_P(DagSweep, WideConnectivityMatchesNeighbourBfs) {
+  for (int kernels : kWideKernelCounts) {
+    const Program p = wide_program(kernels, GetParam());
+    const ExecutionOrderGraph exec = ExecutionOrderGraph::build(p);
+    const SharingGraph sharing = SharingGraph::build(p);
+    const auto reach = path_closure_by_dfs(exec.dag());
+    Rng rng(GetParam() * 37 + static_cast<std::uint64_t>(kernels));
+    int connected = 0;
+    for (int s = 0; s < kWideSamples; ++s) {
+      const std::vector<KernelId> g = random_member_set(rng, sharing, reach);
+      std::vector<char> in(static_cast<std::size_t>(kernels), 0);
+      std::vector<char> seen(static_cast<std::size_t>(kernels), 0);
+      for (KernelId k : g) in[static_cast<std::size_t>(k)] = 1;
+      std::vector<KernelId> frontier{g[0]};
+      seen[static_cast<std::size_t>(g[0])] = 1;
+      std::size_t reached = 1;
+      while (!frontier.empty()) {
+        const KernelId u = frontier.back();
+        frontier.pop_back();
+        for (KernelId v : sharing.neighbours(u)) {
+          if (in[static_cast<std::size_t>(v)] && !seen[static_cast<std::size_t>(v)]) {
+            seen[static_cast<std::size_t>(v)] = 1;
+            ++reached;
+            frontier.push_back(v);
+          }
+        }
+      }
+      const bool expected = reached == g.size();
+      ASSERT_EQ(sharing.group_connected(g), expected) << kernels << " kernels, sample " << s;
+      connected += expected ? 1 : 0;
+    }
+    EXPECT_GT(connected, 0) << kernels;
+    EXPECT_LT(connected, kWideSamples) << kernels;
+  }
+}
+
+TEST_P(DagSweep, WideCyclicGroupsMatchBruteForceContraction) {
+  for (int kernels : kWideKernelCounts) {
+    const Program p = wide_program(kernels, GetParam());
+    const LegalityChecker checker(p, DeviceSpec::k20x());
+    const Dag& dag = checker.execution_order().dag();
+    const std::vector<KernelId> topo = dag.topological_order();
+    Rng rng(GetParam() * 41 + static_cast<std::uint64_t>(kernels));
+    int schedulable = 0;
+    for (int s = 0; s < kWideSamples; ++s) {
+      // Even samples: contiguous runs of a topological order (always
+      // schedulable); odd samples: random fused groups (often cyclic).
+      std::vector<std::vector<KernelId>> groups;
+      if (s % 2 == 0) {
+        for (KernelId k : topo) {
+          if (groups.empty() || rng.next_bool(0.3)) groups.emplace_back();
+          groups.back().push_back(k);
+        }
+      } else {
+        const int parts = 2 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(kernels)));
+        groups.resize(static_cast<std::size_t>(parts));
+        for (KernelId k = 0; k < kernels; ++k) {
+          groups[rng.next_below(groups.size())].push_back(k);
+        }
+      }
+      const FusionPlan plan = FusionPlan::from_groups(kernels, groups);
+      // Brute force: contract, then peel groups with no incoming edge from a
+      // group still present until nothing changes.
+      const int ng = plan.num_groups();
+      std::vector<std::vector<char>> edge(static_cast<std::size_t>(ng),
+                                          std::vector<char>(static_cast<std::size_t>(ng), 0));
+      for (KernelId u = 0; u < kernels; ++u) {
+        for (int v : dag.successors(u)) {
+          const int gu = plan.group_of(u);
+          const int gv = plan.group_of(v);
+          if (gu != gv) edge[static_cast<std::size_t>(gu)][static_cast<std::size_t>(gv)] = 1;
+        }
+      }
+      std::vector<char> present(static_cast<std::size_t>(ng), 1);
+      for (bool peeled = true; peeled;) {
+        peeled = false;
+        for (int g = 0; g < ng; ++g) {
+          if (!present[static_cast<std::size_t>(g)]) continue;
+          bool has_in = false;
+          for (int h = 0; h < ng && !has_in; ++h) {
+            has_in = present[static_cast<std::size_t>(h)] &&
+                     edge[static_cast<std::size_t>(h)][static_cast<std::size_t>(g)];
+          }
+          if (!has_in) {
+            present[static_cast<std::size_t>(g)] = 0;
+            peeled = true;
+          }
+        }
+      }
+      std::vector<int> expected;
+      for (int g = 0; g < ng; ++g) {
+        if (present[static_cast<std::size_t>(g)]) expected.push_back(g);
+      }
+      ASSERT_EQ(checker.cyclic_groups(plan), expected) << kernels << " kernels, sample " << s;
+      schedulable += expected.empty() ? 1 : 0;
+    }
+    EXPECT_GE(schedulable, kWideSamples / 2) << kernels;
+    EXPECT_LT(schedulable, kWideSamples) << kernels;
   }
 }
 
