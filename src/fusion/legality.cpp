@@ -1,5 +1,6 @@
 #include "fusion/legality.hpp"
 
+#include <algorithm>
 #include <mutex>
 
 #include "util/error.hpp"
@@ -145,6 +146,85 @@ std::vector<int> LegalityChecker::cyclic_groups(const FusionPlan& plan) const {
     }
   }
   return stuck;
+}
+
+bool LegalityChecker::edit_closes_cycle(const FusionPlan& plan, int into,
+                                        int absorbed, KernelId moved,
+                                        bool split_rest) const {
+  // Nodes are the plan's groups, except that `absorbed` and `moved` belong
+  // to `into` and, with split_rest, each remaining member v of moved's old
+  // group is node ng + v. Only a path that leaves the target and comes back
+  // through another node is a cycle; edges inside the target are not.
+  struct Scratch {
+    std::vector<std::uint32_t> seen;  // == epoch: node already on the stack
+    std::uint32_t epoch = 0;
+    std::vector<int> stack;
+  };
+  thread_local Scratch s;
+  const int ng = plan.num_groups();
+  const int from = moved >= 0 ? plan.group_of(moved) : -1;
+  const auto nodes = static_cast<std::size_t>(ng + program_.num_kernels());
+  if (s.seen.size() < nodes) s.seen.resize(nodes, 0);
+  if (++s.epoch == 0) {
+    std::fill(s.seen.begin(), s.seen.end(), 0);
+    s.epoch = 1;
+  }
+  auto node_of = [&](KernelId v) {
+    if (v == moved) return into;
+    const int g = plan.group_of(v);
+    if (g == absorbed) return into;
+    if (split_rest && g == from) return ng + v;
+    return g;
+  };
+  const Dag& kernel_dag = exec_.dag();
+  // Pushes the out-neighbours of node x reached through member u; true
+  // once one of them is the target.
+  auto expand = [&](int x, KernelId u) {
+    for (int v : kernel_dag.successors(u)) {
+      const int y = node_of(static_cast<KernelId>(v));
+      if (y == x) continue;
+      if (y == into) return true;
+      if (s.seen[static_cast<std::size_t>(y)] != s.epoch) {
+        s.seen[static_cast<std::size_t>(y)] = s.epoch;
+        s.stack.push_back(y);
+      }
+    }
+    return false;
+  };
+  s.stack.assign(1, into);
+  s.seen[static_cast<std::size_t>(into)] = s.epoch;
+  while (!s.stack.empty()) {
+    const int x = s.stack.back();
+    s.stack.pop_back();
+    if (x >= ng) {
+      if (expand(x, static_cast<KernelId>(x - ng))) return true;
+      continue;
+    }
+    for (KernelId u : plan.group(x)) {
+      if (u != moved && expand(x, u)) return true;
+    }
+    if (x != into) continue;
+    if (absorbed >= 0) {
+      for (KernelId u : plan.group(absorbed)) {
+        if (expand(x, u)) return true;
+      }
+    } else if (moved >= 0 && expand(x, moved)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool LegalityChecker::merge_is_schedulable(const FusionPlan& plan, int a,
+                                           int b) const {
+  KF_REQUIRE(a != b, "cannot merge a group with itself");
+  return !edit_closes_cycle(plan, a, b, -1, false);
+}
+
+bool LegalityChecker::move_is_schedulable(const FusionPlan& plan, KernelId k,
+                                          int to, bool split_rest) const {
+  KF_REQUIRE(plan.group_of(k) != to, "kernel is already in the target group");
+  return !edit_closes_cycle(plan, to, -1, k, split_rest);
 }
 
 bool LegalityChecker::plan_is_schedulable(const FusionPlan& plan) const {

@@ -85,6 +85,22 @@ class LegalityChecker {
   /// scratch is warm.
   std::vector<int> cyclic_groups(const FusionPlan& plan) const;
 
+  /// Schedulability of one edit to a plan that is schedulable now, decided
+  /// by one forward search of the group quotient DAG from the edit's target
+  /// instead of cyclic_groups on an edited copy. Merges only add quotient
+  /// paths, and a move's new quotient edges all touch its target, so any
+  /// cycle the edit creates passes through the target.
+  ///
+  /// Merging groups a and b keeps the plan schedulable iff no quotient path
+  /// of length >= 2 joins them in either direction.
+  bool merge_is_schedulable(const FusionPlan& plan, int a, int b) const;
+
+  /// Moving kernel k into group `to` (k's group must differ). With
+  /// `split_rest`, the rest of k's old group becomes singletons in the same
+  /// edit, as repair_plan does to a rest that is no longer a legal group.
+  bool move_is_schedulable(const FusionPlan& plan, KernelId k, int to,
+                           bool split_rest) const;
+
   /// All groups legal *and* the plan schedulable?
   bool plan_is_legal(const FusionPlan& plan) const;
 
@@ -101,6 +117,14 @@ class LegalityChecker {
 
   /// (1.6)/(1.7) for a group that passed the cheap checks, through the memo.
   LegalityVerdict resource_verdict(std::span<const KernelId> group) const;
+
+  /// The search behind merge/move_is_schedulable: true iff the edited
+  /// quotient has a path from the target `into` back to itself. The edit
+  /// folds group `absorbed` (-1: none) or kernel `moved` (-1: none) into
+  /// `into`; with `split_rest`, every other member of moved's old group is
+  /// a node of its own.
+  bool edit_closes_cycle(const FusionPlan& plan, int into, int absorbed,
+                         KernelId moved, bool split_rest) const;
 
   struct MaskHash {
     std::size_t operator()(const std::vector<std::uint64_t>& mask) const noexcept;

@@ -94,92 +94,185 @@ std::string SearchResult::trace_csv() const {
 }
 
 int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
-                 const Telemetry* telemetry) {
+                 const Telemetry* telemetry, SearchControl* control) {
   const LegalityChecker& checker = objective.checker();
+  KF_REQUIRE(checker.plan_is_legal(plan), "local_polish needs a legal plan");
   SpanTracer::Scope polish_span = scoped_span(telemetry, "local_polish");
   const bool provenance = telemetry != nullptr && telemetry->wants_decisions();
+
+  // The current plan's group costs c[g] and their running sums. A
+  // candidate's total is summed in the order plan_cost(candidate) would sum
+  // it — the unchanged prefix from `prefix`, then each later group in turn,
+  // then any groups the edit appends — so it is bit-identical to that full
+  // re-cost, and no plan is copied to get it. Only the edit's new groups
+  // are queried, in the candidate's group order.
+  std::vector<double> c;
+  std::vector<double> prefix;
+  auto cost_current = [&] {
+    const int ng = plan.num_groups();
+    c.resize(static_cast<std::size_t>(ng));
+    prefix.assign(1, 0.0);
+    for (int g = 0; g < ng; ++g) {
+      c[static_cast<std::size_t>(g)] = objective.group_cost(plan.group(g)).cost_s;
+      prefix.push_back(prefix.back() + c[static_cast<std::size_t>(g)]);
+    }
+    return prefix.back();
+  };
+  auto add_singletons = [&](double total, std::span<const KernelId> members) {
+    for (const KernelId& m : members) {
+      total += objective.group_cost(std::span<const KernelId>(&m, 1)).cost_s;
+    }
+    return total;
+  };
+
+  // A step's best candidate is an edit applied in place, with the same
+  // operations the candidate was priced for, or — for a move that needs
+  // repair_plan's cycle-breaking — the repaired copy itself.
+  enum class Edit { Merge, Move, Split, Repaired };
   int edits = 0;
-  double cost = objective.plan_cost(plan);
-
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    FusionPlan best_plan = plan;
+  double cost = cost_current();
+  std::vector<KernelId> merged;
+  std::vector<KernelId> target;
+  std::vector<KernelId> rest;
+  std::vector<KernelId> best_members;
+  std::vector<int> priced_for;  // group -> last kernel whose move into it was priced
+  std::vector<char> near;       // group -> holds a sharing neighbour of group a
+  while (control == nullptr || !control->should_stop()) {
+    const int ng = plan.num_groups();
     double best_cost = cost;
-    DecisionLog::Site best_site = DecisionLog::Site::PolishMerge;
-    std::vector<KernelId> best_members;
-
-    // `members` names the group the edit creates (merge/move) or dissolves
-    // (split) — what a provenance decision attributes the cost delta to.
-    // Only tracked when a decision log is attached, so the bare path stays
-    // byte-for-byte the pre-provenance steepest descent.
-    auto consider = [&](FusionPlan&& candidate, DecisionLog::Site site,
-                        std::vector<KernelId>&& members) {
-      const double c = objective.plan_cost(candidate);
-      if (c < best_cost - 1e-18) {
-        best_cost = c;
-        best_plan = std::move(candidate);
-        best_site = site;
-        best_members = std::move(members);
-      }
+    Edit best_edit = Edit::Merge;
+    int best_x = -1;
+    int best_y = -1;
+    bool best_split = false;
+    FusionPlan best_plan;
+    // Strict improvement only, so of equal candidates the first one wins.
+    // `members` is the group the edit creates (merge, move) or dissolves
+    // (split), which a provenance decision attributes the cost delta to.
+    auto consider = [&](double total, Edit edit, int x, int y, bool split,
+                        std::span<const KernelId> members) {
+      if (!(total < best_cost - 1e-18)) return false;
+      best_cost = total;
+      best_edit = edit;
+      best_x = x;
+      best_y = y;
+      best_split = split;
+      if (provenance) best_members.assign(members.begin(), members.end());
+      return true;
     };
 
-    // merges
-    for (int a = 0; a < plan.num_groups(); ++a) {
-      for (int b = a + 1; b < plan.num_groups(); ++b) {
-        std::vector<KernelId> merged(plan.group(a).begin(), plan.group(a).end());
+    // merges: the union sits at a, b is removed. Groups are legal, hence
+    // connected, so only a group holding a sharing neighbour of a can form
+    // a connected union with it; the others are skipped unchecked.
+    for (int a = 0; a < ng; ++a) {
+      near.assign(static_cast<std::size_t>(ng), 0);
+      for (KernelId k : plan.group(a)) {
+        for (KernelId nb : checker.sharing().neighbours(k)) {
+          near[static_cast<std::size_t>(plan.group_of(nb))] = 1;
+        }
+      }
+      for (int b = a + 1; b < ng; ++b) {
+        if (!near[static_cast<std::size_t>(b)]) continue;
+        merged.assign(plan.group(a).begin(), plan.group(a).end());
         merged.insert(merged.end(), plan.group(b).begin(), plan.group(b).end());
         std::sort(merged.begin(), merged.end());
         if (!checker.group_is_legal(merged)) continue;
-        FusionPlan candidate = plan;
-        candidate.merge_groups(a, b);
-        if (!checker.plan_is_schedulable(candidate)) continue;
-        consider(std::move(candidate), DecisionLog::Site::PolishMerge,
-                 provenance ? std::move(merged) : std::vector<KernelId>());
+        if (!checker.merge_is_schedulable(plan, a, b)) continue;
+        double total = prefix[static_cast<std::size_t>(a)] + objective.group_cost(merged).cost_s;
+        for (int g = a + 1; g < ng; ++g) {
+          if (g != b) total += c[static_cast<std::size_t>(g)];
+        }
+        consider(total, Edit::Merge, a, b, false, merged);
       }
     }
-    // moves (kernel to a sharing neighbour's group)
+    // moves (kernel to a sharing neighbour's group), each (k, to) once:
+    // `to` holds the target; `from` keeps the rest in its slot, is removed
+    // when k was its only member, or — when the rest is no longer a legal
+    // group — is removed with the rest appended as singletons in stored
+    // order, which is what repair_plan's split_group does.
+    priced_for.assign(static_cast<std::size_t>(ng), -1);
     for (KernelId k = 0; k < plan.num_kernels(); ++k) {
+      const int from = plan.group_of(k);
+      bool rest_known = false;  // the rest of `from` depends on k alone
+      bool split_rest = false;
       for (KernelId n : checker.sharing().neighbours(k)) {
-        const int from = plan.group_of(k);
         const int to = plan.group_of(n);
-        if (from == to) continue;
-        std::vector<KernelId> target(plan.group(to).begin(), plan.group(to).end());
+        if (from == to || priced_for[static_cast<std::size_t>(to)] == k) continue;
+        priced_for[static_cast<std::size_t>(to)] = k;
+        target.assign(plan.group(to).begin(), plan.group(to).end());
         target.push_back(k);
         std::sort(target.begin(), target.end());
         if (!checker.group_is_legal(target)) continue;
-        FusionPlan candidate = plan;
-        candidate.move_kernel(k, to);
-        if (repair_plan(checker, candidate) > 0 &&
-            !checker.plan_is_legal(candidate)) {
+        if (!rest_known) {
+          rest.clear();
+          for (KernelId m : plan.group(from)) {
+            if (m != k) rest.push_back(m);
+          }
+          split_rest = rest.size() >= 2 && !checker.group_is_legal(rest);
+          rest_known = true;
+        }
+        if (!checker.move_is_schedulable(plan, k, to, split_rest)) {
+          FusionPlan candidate = plan;
+          candidate.move_kernel(k, to);
+          if (repair_plan(checker, candidate) > 0 && !checker.plan_is_legal(candidate)) {
+            continue;
+          }
+          if (consider(objective.plan_cost(candidate), Edit::Repaired, k, to, false, target)) {
+            best_plan = std::move(candidate);
+          }
           continue;
         }
-        consider(std::move(candidate), DecisionLog::Site::PolishMove,
-                 provenance ? std::move(target) : std::vector<KernelId>());
+        const int lo = std::min(from, to);
+        double total = prefix[static_cast<std::size_t>(lo)];
+        for (int g = lo; g < ng; ++g) {
+          if (g == to) {
+            total += objective.group_cost(target).cost_s;
+          } else if (g == from) {
+            if (!rest.empty() && !split_rest) total += objective.group_cost(rest).cost_s;
+          } else {
+            total += c[static_cast<std::size_t>(g)];
+          }
+        }
+        if (split_rest) total = add_singletons(total, rest);
+        consider(total, Edit::Move, k, to, split_rest, target);
       }
     }
-    // splits
-    for (int g = 0; g < plan.num_groups(); ++g) {
+    // splits: g is removed and its members are appended in stored order
+    for (int g = 0; g < ng; ++g) {
       if (plan.group(g).size() < 2) continue;
-      FusionPlan candidate = plan;
-      candidate.split_group(g);
-      consider(std::move(candidate), DecisionLog::Site::PolishSplit,
-               provenance ? std::vector<KernelId>(plan.group(g).begin(),
-                                                  plan.group(g).end())
-                          : std::vector<KernelId>());
+      double total = prefix[static_cast<std::size_t>(g)];
+      for (int h = g + 1; h < ng; ++h) total += c[static_cast<std::size_t>(h)];
+      consider(add_singletons(total, plan.group(g)), Edit::Split, g, -1, false, plan.group(g));
     }
 
-    if (best_cost < cost - 1e-18) {
-      if (provenance) {
-        telemetry->decisions->record(best_site, true, best_members,
-                                     best_cost - cost,
-                                     objective.dominant_component(best_members));
-      }
-      plan = std::move(best_plan);
-      cost = best_cost;
-      ++edits;
-      improved = true;
+    if (!(best_cost < cost - 1e-18)) break;
+    if (provenance) {
+      const DecisionLog::Site site = best_edit == Edit::Merge   ? DecisionLog::Site::PolishMerge
+                                     : best_edit == Edit::Split ? DecisionLog::Site::PolishSplit
+                                                                : DecisionLog::Site::PolishMove;
+      telemetry->decisions->record(site, true, best_members, best_cost - cost,
+                                   objective.dominant_component(best_members));
     }
+    switch (best_edit) {
+      case Edit::Merge:
+        plan.merge_groups(best_x, best_y);
+        break;
+      case Edit::Move: {
+        const int from = plan.group_of(static_cast<KernelId>(best_x));
+        plan.move_kernel(static_cast<KernelId>(best_x), best_y);
+        // A split rest has members left, so `from` kept its index.
+        if (best_split) plan.split_group(from);
+        break;
+      }
+      case Edit::Split:
+        plan.split_group(best_x);
+        break;
+      case Edit::Repaired:
+        plan = std::move(best_plan);
+        break;
+    }
+    ++edits;
+    cost = best_cost;
+    cost_current();
   }
   if (cost_out != nullptr) *cost_out = cost;
   return edits;

@@ -113,11 +113,19 @@ struct SearchResult {
 
 /// Steepest-descent local search over the merge / move / split
 /// neighbourhood: applies the best strictly-improving legal edit until a
-/// local optimum is reached. Returns the number of edits applied.
+/// local optimum is reached. Returns the number of edits applied. `plan`
+/// must be legal (throws PreconditionError otherwise) and stays legal.
+/// Each step prices every candidate from the plan's per-group costs in the
+/// candidate's own group order, so a candidate's total is bit-identical to
+/// plan_cost of the edited plan, and copies a plan only for a move that
+/// needs repair_plan's cycle-breaking.
 /// `telemetry` (optional) records a "local_polish" span and one provenance
 /// decision per applied edit — a null pointer costs one branch per edit.
+/// `control` (optional) is polled once per step; on a stop the current plan
+/// is returned at its exact cost.
 int local_polish(const Objective& objective, FusionPlan& plan,
-                 double* cost = nullptr, const Telemetry* telemetry = nullptr);
+                 double* cost = nullptr, const Telemetry* telemetry = nullptr,
+                 SearchControl* control = nullptr);
 
 /// Periodic checkpointing of an HGGA run (see search/checkpoint.hpp for the
 /// on-disk format). With `resume` set, the run restarts from the state in

@@ -323,8 +323,19 @@ void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
       // A plan legal on its own device keeps its partition: repair only
       // splits groups this device's checker rejects.
       if (repair_plan(ctx.checker, plan) > 0) plan.canonicalize();
+      // Polish under the request's deadline, with the search rung's
+      // headroom; below the search rung's floor, serve the repaired plan.
       double cost = 0.0;
-      local_polish(ctx.objective, plan, &cost, config_.telemetry);
+      const double remaining = result.deadline_s - (config_.clock() - start_s);
+      if (remaining >= config_.min_search_budget_s) {
+        SearchControl::Limits limits;
+        limits.deadline_s = remaining * 0.8;
+        SearchControl control(ctx.objective, limits);
+        control.set_telemetry(config_.telemetry);
+        local_polish(ctx.objective, plan, &cost, config_.telemetry, &control);
+      } else {
+        cost = ctx.objective.plan_cost(plan);
+      }
       result.rung = ServeRung::PolishedStored;
       result.plan = std::move(plan);
       result.cost_s = cost;

@@ -31,6 +31,10 @@ static_assert(sizeof(StateSnapshot) <= kFlightPayloadBytes);
 static_assert(sizeof(FlightTriggerPayload) <= kFlightPayloadBytes);
 // The payload area starts 8-byte aligned so the typed views are legal.
 static_assert(offsetof(FlightRecord, payload) % 8 == 0);
+// Ring slots hold a record as whole 64-bit words, and the signal path
+// reads them, so the words must be lock-free.
+static_assert(sizeof(FlightRecord) % sizeof(std::uint64_t) == 0);
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 
 std::string_view bytes_of(const void* p, std::size_t n) noexcept {
   return std::string_view(static_cast<const char*>(p), n);
@@ -166,29 +170,37 @@ FlightRecorder::FlightRecorder(Config config)
 
 FlightRecorder::~FlightRecorder() { disarm_signal_dump(); }
 
-FlightRecord* FlightRecorder::claim(FlightRecordType type, TraceId trace,
-                                    std::uint16_t payload_bytes) noexcept {
-  const unsigned stripe = thread_stripe_token() % stripes_;
-  Stripe& st = stripe_state_[stripe];
-  const std::uint64_t w = st.writes.fetch_add(1, std::memory_order_relaxed);
-  FlightRecord* rec =
-      &slots_[stripe * slots_per_stripe_ + (w % slots_per_stripe_)];
-  const double t = clock_();
-  last_t_s_.store(t, std::memory_order_relaxed);
-  rec->magic = 0;  // a concurrent dump sees "being rewritten", CRC fails
-  rec->type = static_cast<std::uint16_t>(type);
-  rec->payload_bytes = payload_bytes;
-  rec->seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  rec->t_s = t;
-  rec->trace = trace;
-  std::memset(rec->payload, 0, sizeof(rec->payload));
-  rec->pad = 0;
-  return rec;
+void FlightRecorder::RingSlot::store(const FlightRecord& record) noexcept {
+  std::uint64_t w[kWords];
+  std::memcpy(w, &record, sizeof(w));
+  words[0].store(0, std::memory_order_relaxed);
+  for (std::size_t i = 1; i < kWords; ++i) words[i].store(w[i], std::memory_order_relaxed);
+  words[0].store(w[0], std::memory_order_relaxed);
 }
 
-void FlightRecorder::seal(FlightRecord* record) noexcept {
-  record->magic = FlightRecord::kMagic;
-  record->crc = crc32(bytes_of(record, offsetof(FlightRecord, crc)));
+void FlightRecorder::RingSlot::load(FlightRecord* out) const noexcept {
+  std::uint64_t w[kWords];
+  for (std::size_t i = 0; i < kWords; ++i) w[i] = words[i].load(std::memory_order_relaxed);
+  std::memcpy(out, w, sizeof(w));
+}
+
+void FlightRecorder::publish(FlightRecordType type, TraceId trace,
+                             const void* payload, std::size_t bytes) noexcept {
+  FlightRecord rec;
+  const double t = clock_();
+  last_t_s_.store(t, std::memory_order_relaxed);
+  rec.type = static_cast<std::uint16_t>(type);
+  rec.payload_bytes = static_cast<std::uint16_t>(bytes);
+  rec.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  rec.t_s = t;
+  rec.trace = trace;
+  std::memcpy(rec.payload, payload, bytes);
+  rec.magic = FlightRecord::kMagic;
+  rec.crc = crc32(bytes_of(&rec, offsetof(FlightRecord, crc)));
+  const unsigned stripe = thread_stripe_token() % stripes_;
+  const std::uint64_t w =
+      stripe_state_[stripe].writes.fetch_add(1, std::memory_order_relaxed);
+  slots_[stripe * slots_per_stripe_ + (w % slots_per_stripe_)].store(rec);
 }
 
 void FlightRecorder::record_serve(const RequestContext& request) {
@@ -210,10 +222,7 @@ void FlightRecorder::record_serve(const RequestContext& request) {
   if (request.degraded) p.flags |= FlightServePayload::kFlagDegraded;
   if (request.coalesced) p.flags |= FlightServePayload::kFlagCoalesced;
   if (request.deadline_met) p.flags |= FlightServePayload::kFlagDeadlineMet;
-  FlightRecord* rec = claim(FlightRecordType::kServe, request.trace_id,
-                            static_cast<std::uint16_t>(sizeof(p)));
-  std::memcpy(rec->payload, &p, sizeof(p));
-  seal(rec);
+  publish(FlightRecordType::kServe, request.trace_id, &p, sizeof(p));
 
   state_.requests_total.fetch_add(1, std::memory_order_relaxed);
   if (!request.deadline_met)
@@ -242,10 +251,7 @@ void FlightRecorder::record_decision(int site, bool accepted,
   if (dominant != nullptr) {
     std::strncpy(payload.dominant, dominant, sizeof(payload.dominant) - 1);
   }
-  FlightRecord* rec = claim(FlightRecordType::kDecision, trace,
-                            static_cast<std::uint16_t>(sizeof(payload)));
-  std::memcpy(rec->payload, &payload, sizeof(payload));
-  seal(rec);
+  publish(FlightRecordType::kDecision, trace, &payload, sizeof(payload));
 }
 
 void FlightRecorder::record_span(const char* name, double start_s,
@@ -256,26 +262,17 @@ void FlightRecorder::record_span(const char* name, double start_s,
   payload.start_s = start_s;
   payload.dur_s = dur_s;
   payload.tid = tid;
-  FlightRecord* rec = claim(FlightRecordType::kSpan, trace,
-                            static_cast<std::uint16_t>(sizeof(payload)));
-  std::memcpy(rec->payload, &payload, sizeof(payload));
-  seal(rec);
+  publish(FlightRecordType::kSpan, trace, &payload, sizeof(payload));
 }
 
 void FlightRecorder::record_counters() {
   const StateSnapshot snap = state_.snapshot();
-  FlightRecord* rec = claim(FlightRecordType::kCounters, TraceId{},
-                            static_cast<std::uint16_t>(sizeof(snap)));
-  std::memcpy(rec->payload, &snap, sizeof(snap));
-  seal(rec);
+  publish(FlightRecordType::kCounters, TraceId{}, &snap, sizeof(snap));
 }
 
 void FlightRecorder::record_trigger(const FlightTriggerPayload& payload,
                                     TraceId trace) {
-  FlightRecord* rec = claim(FlightRecordType::kTrigger, trace,
-                            static_cast<std::uint16_t>(sizeof(payload)));
-  std::memcpy(rec->payload, &payload, sizeof(payload));
-  seal(rec);
+  publish(FlightRecordType::kTrigger, trace, &payload, sizeof(payload));
 }
 
 long FlightRecorder::recorded() const noexcept {
@@ -381,8 +378,11 @@ std::string FlightRecorder::serialize(IncidentReason reason,
     fill_inflight_dump(i, &d);
     out.append(reinterpret_cast<const char*>(&d), sizeof(d));
   }
-  out.append(reinterpret_cast<const char*>(slots_.data()),
-             slots_.size() * sizeof(FlightRecord));
+  for (const RingSlot& slot : slots_) {
+    FlightRecord rec;
+    slot.load(&rec);
+    out.append(reinterpret_cast<const char*>(&rec), sizeof(rec));
+  }
   return out;
 }
 
@@ -409,6 +409,7 @@ std::string FlightRecorder::arm_signal_dump(const std::string& dir) {
     throw StoreError("flight recorder: cannot open signal bundle " +
                      signal_path_);
   signal_scratch_.assign(kInflightSlots, InflightDump{});
+  signal_ring_scratch_.assign(std::min<std::size_t>(slots_.size(), 64), FlightRecord{});
   dumping_.store(false, std::memory_order_relaxed);
   g_signal_recorder.store(this, std::memory_order_release);
   struct sigaction sa;
@@ -462,8 +463,14 @@ void FlightRecorder::signal_dump(int signal) noexcept {
     fill_inflight_dump(i, d);
     ok = write_all(fd, d, sizeof(*d));
   }
-  ok = ok &&
-       write_all(fd, slots_.data(), slots_.size() * sizeof(FlightRecord));
+  const std::size_t chunk = signal_ring_scratch_.size();
+  for (std::size_t first = 0; ok && first < slots_.size(); first += chunk) {
+    const std::size_t count = std::min(chunk, slots_.size() - first);
+    for (std::size_t i = 0; i < count; ++i) {
+      slots_[first + i].load(&signal_ring_scratch_[i]);
+    }
+    ok = write_all(fd, signal_ring_scratch_.data(), count * sizeof(FlightRecord));
+  }
   if (ok) ::fsync(fd);
 }
 

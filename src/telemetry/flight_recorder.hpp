@@ -4,11 +4,13 @@
 // continuously captures the last N wide serve events, span summaries,
 // decision entries, periodic counter snapshots and trigger markers, each
 // stamped with the owning request's TraceId. Recording is lock-free: a
-// writer claims a slot with one fetch_add on its stripe's cursor and fills
-// it in place; a concurrent dump may observe a torn slot, which the
-// per-record CRC32 detects at parse time instead of a lock preventing it
-// at write time. Exact totals survive eviction: per-stripe write counters
-// give recorded()/dropped() without scanning.
+// writer builds its record locally, claims a slot with one fetch_add on its
+// stripe's cursor and publishes the record into it word by word as relaxed
+// atomic stores; dumps read slots word by word the same way. A concurrent
+// dump may observe a torn slot, which the per-record CRC32 detects at parse
+// time instead of a lock preventing it at write time. Exact totals survive
+// eviction: per-stripe write counters give recorded()/dropped() without
+// scanning.
 //
 // On trigger the recorder writes a self-contained incident bundle:
 //
@@ -374,9 +376,23 @@ class FlightRecorder {
     std::atomic<double> stage_s[RequestContext::kNumStages] = {};
   };
 
-  FlightRecord* claim(FlightRecordType type, TraceId trace,
-                      std::uint16_t payload_bytes) noexcept;
-  void seal(FlightRecord* record) noexcept;
+  /// One ring slot: a FlightRecord's bytes as relaxed atomic words, so a
+  /// dump that overlaps a write is a torn read the CRC catches, not a data
+  /// race.
+  struct RingSlot {
+    static constexpr std::size_t kWords = sizeof(FlightRecord) / sizeof(std::uint64_t);
+    std::atomic<std::uint64_t> words[kWords] = {};
+
+    /// Word 0 (magic) is zeroed first and written last, so a dump sees the
+    /// slot as "being rewritten" for the whole store.
+    void store(const FlightRecord& record) noexcept;
+    void load(FlightRecord* out) const noexcept;  ///< signal-safe
+  };
+
+  /// Builds a record of `type` carrying `payload` locally, seals it (magic
+  /// + CRC) and stores it into the next slot of the calling thread's stripe.
+  void publish(FlightRecordType type, TraceId trace, const void* payload,
+               std::size_t bytes) noexcept;
   BundleHeader make_header(IncidentReason reason, int signal) const noexcept;
   void fill_inflight_dump(int slot, InflightDump* out) const noexcept;
 
@@ -385,7 +401,7 @@ class FlightRecorder {
   MetricsRegistry* metrics_ = nullptr;
   int stripes_ = 0;
   std::size_t slots_per_stripe_ = 0;
-  std::vector<FlightRecord> slots_;  // stripe s owns [s*per, (s+1)*per)
+  std::vector<RingSlot> slots_;  // stripe s owns [s*per, (s+1)*per)
   std::vector<Stripe> stripe_state_;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<double> last_t_s_{0.0};  // signal path's clock (clock_() may
@@ -397,6 +413,7 @@ class FlightRecorder {
   std::string signal_path_;
   int signal_fd_ = -1;
   std::vector<InflightDump> signal_scratch_;
+  std::vector<FlightRecord> signal_ring_scratch_;  // ring slots per write(2)
   std::atomic<bool> dumping_{false};
 };
 

@@ -26,6 +26,8 @@
 #include "fusion/legality.hpp"
 #include "gpu/device_spec.hpp"
 #include "graph/array_expansion.hpp"
+#include "model/proposed_model.hpp"
+#include "search/population.hpp"
 #include "serve/admission.hpp"
 #include "serve/plan_server.hpp"
 #include "serve/request_queue.hpp"
@@ -182,6 +184,30 @@ TEST(PlanServer, CrossDeviceRequestPolishesTheStoredPlan) {
   EXPECT_EQ(server.serve(program, DeviceSpec::k40()).rung, ServeRung::StoreHit);
   EXPECT_EQ(server.stats().polished, 1);
   EXPECT_EQ(server.stats().writebacks, 2);
+}
+
+TEST(PlanServer, CrossDeviceRequestBelowTheSearchFloorServesTheStoredPlanUnpolished) {
+  const std::string dir = fresh_dir("polish_floor");
+  PlanStore store(store_config(dir));
+  FakeTime time;
+  PlanServer server(store, server_config(time));
+  const Program program = scale_les_rk18();
+  const ServeResult searched = server.serve(program, DeviceSpec::k20x());
+  ASSERT_EQ(searched.rung, ServeRung::FullSearch);
+
+  ServeRequest request;
+  request.deadline_s = 0.001;  // below min_search_budget_s: no polish either
+  const ServeResult r = server.serve(program, DeviceSpec::k40(), request);
+  EXPECT_EQ(r.rung, ServeRung::PolishedStored);
+  Validator validator(program, DeviceSpec::k40());
+  ASSERT_TRUE(validator.legal(r.plan));
+  FusionPlan stored = searched.plan;
+  if (repair_plan(validator.checker, stored) > 0) stored.canonicalize();
+  EXPECT_EQ(r.plan.to_string(), stored.to_string());
+  const TimingSimulator sim(DeviceSpec::k40());
+  const ProposedModel model(DeviceSpec::k40());
+  const Objective objective(validator.checker, model, sim);
+  EXPECT_EQ(r.cost_s, objective.plan_cost(r.plan));
 }
 
 TEST(PlanServer, TinyDeadlineOnAnEmptyStoreFallsToTheFloor) {
