@@ -52,38 +52,19 @@ int main() {
 
   for (const Load& load : loads) {
     for (const bool expand : {false, true}) {
-      const ExpansionResult expansion =
-          expand ? expand_arrays(load.program)
-                 : ExpansionResult{.program = load.program,
-                                   .arrays_added = 0,
-                                   .extra_bytes = 0.0,
-                                   .versions = {}};
+      // Budget 0 is no expansion; negative is unlimited.
+      const PlanContext ctx(load.program, DeviceSpec::k20x(), expand ? -1.0 : 0.0);
       const ReducibleTrafficReport bound = reducible_traffic(load.program, expand);
-
-      const DeviceSpec device = DeviceSpec::k20x();
-      const TimingSimulator sim(device);
-      const LegalityChecker checker(expansion.program, device);
-      const ProposedModel model(device);
-      const Objective objective(checker, model, sim);
-      HggaConfig cfg;
-      cfg.population = 60;
-      cfg.max_generations = small ? 100 : 300;
-      cfg.stall_generations = small ? 35 : 90;
-      cfg.seed = 0xe4a;
-      const SearchResult result = Hgga(objective, cfg).run();
-
-      const FusedProgram fused = apply_fusion(checker, result.best);
-      double measured = 0;
-      for (const LaunchDescriptor& d : fused.launches) {
-        measured += sim.run(expansion.program, d).time_s;
-      }
-      const double baseline = sim.program_time(expansion.program);
+      const SearchResult result =
+          bench::hgga_search(ctx, 60, small ? 100 : 300, small ? 35 : 90, 0xe4a);
+      const double measured = ctx.simulated_time(result.best);
+      const double baseline = ctx.simulator.program_time(ctx.expansion.program);
       table.add(load.name, expand ? "on" : "off",
-                static_cast<long>(checker.execution_order().dag().num_edges()),
-                fusible_pairs(checker),
+                static_cast<long>(ctx.checker.execution_order().dag().num_edges()),
+                fusible_pairs(ctx.checker),
                 fixed(100 * bound.reducible_fraction, 1) + "%",
                 fixed(baseline / measured, 2) + "x",
-                human_bytes(expansion.extra_bytes));
+                human_bytes(ctx.expansion.extra_bytes));
     }
   }
   std::cout << table;

@@ -31,26 +31,27 @@ int main() {
     };
 
     {
-      bench::BenchPipeline pipe(program, DeviceSpec::k20x());
-      row("hgga", pipe.search(60, small ? 120 : 300, small ? 40 : 90, cfg.seed));
+      const PlanContext ctx(program, DeviceSpec::k20x());
+      row("hgga",
+          bench::hgga_search(ctx, 60, small ? 120 : 300, small ? 40 : 90, cfg.seed));
     }
     {
-      bench::BenchPipeline pipe(program, DeviceSpec::k20x());
-      row("greedy", greedy_search(pipe.objective));
+      const PlanContext ctx(program, DeviceSpec::k20x());
+      row("greedy", greedy_search(ctx.objective));
     }
     {
-      bench::BenchPipeline pipe(program, DeviceSpec::k20x());
+      const PlanContext ctx(program, DeviceSpec::k20x());
       AnnealingConfig acfg;
       acfg.iterations = small ? 4000 : 20000;
       acfg.seed = cfg.seed;
-      row("annealing", annealing_search(pipe.objective, acfg));
+      row("annealing", annealing_search(ctx.objective, acfg));
     }
     {
-      bench::BenchPipeline pipe(program, DeviceSpec::k20x());
+      const PlanContext ctx(program, DeviceSpec::k20x());
       RandomSearchConfig rcfg;
       rcfg.samples = small ? 500 : 3000;
       rcfg.seed = cfg.seed;
-      row("random", random_search(pipe.objective, rcfg));
+      row("random", random_search(ctx.objective, rcfg));
     }
   }
   std::cout << table;

@@ -36,15 +36,11 @@ int main() {
       device.max_blocks_per_smx =
           static_cast<int>(16 * (point.kb + 47) / 48);  // scale with capacity
     }
-    bench::BenchPipeline pipe(scale_les(), device);
-    HggaConfig cfg;
-    cfg.population = 100;
-    cfg.max_generations = small ? 150 : 600;
-    cfg.stall_generations = small ? 50 : 150;
-    cfg.seed = 0x53e3;
-    const SearchResult result = pipe.search(cfg);
-    const double before = pipe.baseline_time();
-    const double after = pipe.measured_time(result.best);
+    const PlanContext ctx(scale_les(), device);
+    const SearchResult result =
+        bench::hgga_search(ctx, 100, small ? 150 : 600, small ? 50 : 150, 0x53e3);
+    const double before = ctx.simulator.program_time(ctx.expansion.program);
+    const double after = ctx.simulated_time(result.best);
 
     const double avg_members =
         result.best.fused_group_count()

@@ -2,9 +2,8 @@
 //
 // Every bench reproduces one table/figure of the paper and prints a
 // paper-style text table plus a short commentary comparing the measured
-// shape against the published numbers. BenchPipeline bundles the standard
-// analysis stack (expansion -> graphs -> simulator -> model -> objective)
-// for one (program, device) pair.
+// shape against the published numbers. Benches build the standard
+// analysis stack for one (program, device) pair as a PlanContext.
 #pragma once
 
 #include <algorithm>
@@ -65,70 +64,36 @@ inline JsonValue bench_metrics_json(const std::string& bench,
   return doc;
 }
 
-struct BenchPipeline {
-  Program original;
-  ExpansionResult expansion;
-  DeviceSpec device;
-  TimingSimulator sim;
-  LegalityChecker checker;
-  ProposedModel model;
-  Objective objective;
-
-  BenchPipeline(Program program, DeviceSpec dev)
-      : original(std::move(program)),
-        expansion(expand_arrays(original)),
-        device(std::move(dev)),
-        sim(device),
-        checker(expansion.program, device),
-        model(device),
-        objective(checker, model, sim) {}
-
-  SearchResult search(const HggaConfig& config) { return Hgga(objective, config).run(); }
-
-  SearchResult search(int population, int max_generations, int stall,
-                      std::uint64_t seed = 0x5eed) {
-    HggaConfig config;
-    config.population = population;
-    config.max_generations = max_generations;
-    config.stall_generations = stall;
-    config.seed = seed;
-    return search(config);
-  }
-
-  /// Simulated runtime of the program under `plan`.
-  double measured_time(const FusionPlan& plan) {
-    const FusedProgram fused = apply_fusion(checker, plan);
-    double total = 0.0;
-    for (const LaunchDescriptor& d : fused.launches) {
-      total += sim.run(expansion.program, d).time_s;
-    }
-    return total;
-  }
-
-  double baseline_time() { return sim.program_time(expansion.program); }
-};
-
-/// Fig. 7/8 style report: per-new-kernel measured / projected / original
-/// sum on K20X, in increasing measured order, with the unproductive count.
-inline void report_app_new_kernels(Program program, int population,
-                                   int max_generations, std::uint64_t seed) {
-  BenchPipeline pipe(std::move(program), DeviceSpec::k20x());
+/// The HGGA over `ctx`'s objective with the given population, generation
+/// cap, stall limit and seed.
+inline SearchResult hgga_search(const PlanContext& ctx, int population,
+                                int max_generations, int stall, std::uint64_t seed) {
   HggaConfig config;
   config.population = population;
   config.max_generations = max_generations;
-  config.stall_generations = std::max(40, max_generations / 4);
+  config.stall_generations = stall;
   config.seed = seed;
-  const SearchResult result = pipe.search(config);
-  write_bench_metrics("app_" + pipe.original.name(),
-                      bench_metrics_json("report_app_new_kernels",
-                                         pipe.original.name(), result));
+  return Hgga(ctx.objective, config).run();
+}
+
+/// Fig. 7/8 style report: per-new-kernel measured / projected / original
+/// sum on K20X, in increasing measured order, with the unproductive count.
+inline void report_app_new_kernels(const Program& program, int population,
+                                   int max_generations, std::uint64_t seed) {
+  const PlanContext ctx(program, DeviceSpec::k20x());
+  const Program& expanded = ctx.expansion.program;
+  const SearchResult result = hgga_search(
+      ctx, population, max_generations, std::max(40, max_generations / 4), seed);
+  write_bench_metrics("app_" + program.name(),
+                      bench_metrics_json("report_app_new_kernels", program.name(),
+                                         result));
 
   std::cout << "\nBest solution: " << result.best.fused_kernel_count() << " of "
-            << pipe.expansion.program.num_kernels() << " kernels fused into "
+            << expanded.num_kernels() << " kernels fused into "
             << result.best.fused_group_count() << " new kernels ("
             << result.best.num_groups() << " launches total)\n\n";
 
-  const FusedProgram fused = apply_fusion(pipe.checker, result.best);
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
   struct Row {
     std::string name;
     std::size_t members;
@@ -141,9 +106,9 @@ inline void report_app_new_kernels(Program program, int population,
     Row r;
     r.name = strprintf("F%zu", rows.size() + 1);
     r.members = d.members.size();
-    r.measured = pipe.sim.run(pipe.expansion.program, d).time_s;
-    r.projected = pipe.model.project(pipe.expansion.program, d).time_s;
-    r.original = pipe.sim.original_sum(pipe.expansion.program, d.members);
+    r.measured = ctx.simulator.run(expanded, d).time_s;
+    r.projected = ctx.model->project(expanded, d).time_s;
+    r.original = ctx.simulator.original_sum(expanded, d.members);
     if (r.measured >= r.original) ++unproductive;
     rows.push_back(std::move(r));
   }

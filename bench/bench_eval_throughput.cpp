@@ -128,13 +128,13 @@ int run(int argc, char** argv) {
   suite.kernels = 64;
   suite.arrays = 128;
   suite.seed = 7;
-  BenchPipeline pipe(make_testsuite_program(suite), DeviceSpec::k20x());
+  PlanContext ctx(make_testsuite_program(suite), DeviceSpec::k20x());
 
   // The legacy engine computes misses through an uncached objective so its
   // only advantage-relevant difference is the query overhead itself.
   Objective::Options uncached;
   uncached.enable_cache = false;
-  Objective legacy_objective(pipe.checker, pipe.model, pipe.sim, uncached);
+  Objective legacy_objective(ctx.checker, *ctx.model, ctx.simulator, uncached);
 
   const std::size_t pool_size = small_scale() ? 48 : 192;
   const double target_s = small_scale() ? 0.15 : 0.6;
@@ -145,7 +145,7 @@ int run(int argc, char** argv) {
   for (std::size_t i = 0; i < pool_size; ++i) {
     const double aggressiveness =
         0.2 + 0.7 * static_cast<double>(i) / static_cast<double>(pool_size);
-    pool.push_back(random_legal_plan(pipe.checker, rng, aggressiveness));
+    pool.push_back(random_legal_plan(ctx.checker, rng, aggressiveness));
     groups_per_round += pool.back().num_groups();
   }
 
@@ -168,22 +168,22 @@ int run(int argc, char** argv) {
         }
       });
 
-  pipe.objective.reset_counters();
+  ctx.objective.reset_counters();
   const Phase sharded_phase = run_phase(
       "sharded", groups_per_round, pool.size(), target_s,
       [&](std::vector<double>& costs) {
         costs.assign(pool.size(), 0.0);
 #pragma omp parallel for schedule(dynamic)
         for (std::size_t i = 0; i < pool.size(); ++i) {
-          costs[i] = pipe.objective.plan_cost(pool[i]);
+          costs[i] = ctx.objective.plan_cost(pool[i]);
         }
       });
 
   const Phase batched_phase = run_phase(
       "batched", groups_per_round, pool.size(), target_s,
-      [&](std::vector<double>& costs) { costs = pipe.objective.plan_costs(pool); });
+      [&](std::vector<double>& costs) { costs = ctx.objective.plan_costs(pool); });
 
-  const Objective::CacheStats stats = pipe.objective.cache_stats();
+  const Objective::CacheStats stats = ctx.objective.cache_stats();
   const bool identical = legacy_phase.costs == sharded_phase.costs &&
                          sharded_phase.costs == batched_phase.costs;
   const double speedup_sharded = sharded_phase.evals_per_s / legacy_phase.evals_per_s;

@@ -41,7 +41,7 @@ int run(int argc, char** argv) {
   suite.kernels = 64;
   suite.arrays = 128;
   suite.seed = 7;
-  BenchPipeline pipe(make_testsuite_program(suite), DeviceSpec::k20x());
+  PlanContext ctx(make_testsuite_program(suite), DeviceSpec::k20x());
 
   HggaConfig config;
   config.population = small_scale() ? 24 : 48;
@@ -53,7 +53,7 @@ int run(int argc, char** argv) {
 
   // Warm the group-cost cache so both configurations measure the steady
   // state (the first run pays every model evaluation).
-  pipe.search(config);
+  Hgga(ctx.objective, config).run();
 
   Sample off;
   Sample on;
@@ -61,9 +61,9 @@ int run(int argc, char** argv) {
     // Interleave the configurations so drift (thermal, noisy neighbours)
     // hits both evenly.
     {
-      pipe.objective.set_telemetry(nullptr);
+      ctx.objective.set_telemetry(nullptr);
       Stopwatch watch;
-      const SearchResult r = Hgga(pipe.objective, config).run();
+      const SearchResult r = Hgga(ctx.objective, config).run();
       const double secs = watch.elapsed_s();
       if (secs < off.best_s) off.best_s = secs;
       off.cost_s = r.best_cost_s;
@@ -73,10 +73,10 @@ int run(int argc, char** argv) {
       SpanTracer spans;
       Telemetry telemetry;
       telemetry.spans = &spans;
-      pipe.objective.set_telemetry(&telemetry);
+      ctx.objective.set_telemetry(&telemetry);
       Stopwatch watch;
       const SearchResult r =
-          Hgga(pipe.objective, config).run(nullptr, nullptr, &telemetry);
+          Hgga(ctx.objective, config).run(nullptr, nullptr, &telemetry);
       const double secs = watch.elapsed_s();
       if (secs < on.best_s) on.best_s = secs;
       on.cost_s = r.best_cost_s;
@@ -84,7 +84,7 @@ int run(int argc, char** argv) {
       on.spans = spans.recorded() + spans.dropped();
     }
   }
-  pipe.objective.set_telemetry(nullptr);
+  ctx.objective.set_telemetry(nullptr);
 
   const double overhead_pct = 100.0 * (on.best_s / off.best_s - 1.0);
   const bool identical = off.cost_s == on.cost_s && off.plan == on.plan;

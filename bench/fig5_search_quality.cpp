@@ -41,19 +41,16 @@ int main() {
     for (int sharing : {2, 4, 6, 8}) {
       const TestSuiteConfig cfg = suite(9, 18, load, sharing, 1000 + load * 10 + sharing);
       const Program program = make_testsuite_program(cfg);
-      bench::BenchPipeline truth_pipe(program, DeviceSpec::k20x());
-      const SearchResult truth = exhaustive_search(truth_pipe.objective);
+      const PlanContext truth_ctx(program, DeviceSpec::k20x());
+      const SearchResult truth = exhaustive_search(truth_ctx.objective);
 
       int hits = 0;
       RunningStats gap;
       for (int r = 0; r < runs; ++r) {
-        bench::BenchPipeline pipe(program, DeviceSpec::k20x());
-        HggaConfig hcfg;
-        hcfg.population = small ? 60 : 100;
-        hcfg.max_generations = small ? 150 : 400;
-        hcfg.stall_generations = small ? 40 : 120;
-        hcfg.seed = 7000 + static_cast<std::uint64_t>(r) * 131 + load;
-        const SearchResult found = pipe.search(hcfg);
+        const PlanContext ctx(program, DeviceSpec::k20x());
+        const SearchResult found = bench::hgga_search(
+            ctx, small ? 60 : 100, small ? 150 : 400, small ? 40 : 120,
+            7000 + static_cast<std::uint64_t>(r) * 131 + load);
         // 1e-6 relative tolerance absorbs float summation-order noise
         if (found.best_cost_s <= truth.best_cost_s * (1.0 + 1e-6)) ++hits;
         gap.add(found.best_cost_s / truth.best_cost_s - 1.0);
@@ -73,13 +70,9 @@ int main() {
   const int max_kernels = small ? 40 : 100;
   for (int kernels = 20; kernels <= max_kernels; kernels += 20) {
     const TestSuiteConfig cfg = suite(kernels, 2 * kernels, 8, 4, 500 + kernels);
-    bench::BenchPipeline pipe(make_testsuite_program(cfg), DeviceSpec::k20x());
-    HggaConfig hcfg;
-    hcfg.population = 100;
-    hcfg.max_generations = small ? 120 : 400;
-    hcfg.stall_generations = small ? 40 : 120;
-    hcfg.seed = 99;
-    const SearchResult result = pipe.search(hcfg);
+    const PlanContext ctx(make_testsuite_program(cfg), DeviceSpec::k20x());
+    const SearchResult result =
+        bench::hgga_search(ctx, 100, small ? 120 : 400, small ? 40 : 120, 99);
     timing.add(kernels, 2 * kernels, human_time(result.time_to_best_s),
                human_time(result.runtime_s), result.generations, result.evaluations);
   }

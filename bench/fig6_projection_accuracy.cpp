@@ -35,14 +35,15 @@ int main() {
       // The paper reports the GTX 750 Ti in single precision (§IV).
       Program program = make_testsuite_program(cfg);
       if (maxwell) program = program.with_precision(4);
-      bench::BenchPipeline pipe(std::move(program), device);
+      const PlanContext ctx(program, device);
+      const Program& expanded = ctx.expansion.program;
       const RooflineModel roofline(device);
-      const SimpleModel simple(pipe.expansion.program, pipe.sim);
+      const SimpleModel simple(expanded, ctx.simulator);
 
       const SearchResult result =
-          pipe.search(60, small ? 100 : 250, small ? 30 : 70,
-                      900 + static_cast<std::uint64_t>(kernels));
-      const FusedProgram fused = apply_fusion(pipe.checker, result.best);
+          bench::hgga_search(ctx, 60, small ? 100 : 250, small ? 30 : 70,
+                             900 + static_cast<std::uint64_t>(kernels));
+      const FusedProgram fused = apply_fusion(ctx.checker, result.best);
 
       double measured = 0;
       double t_roof = 0;
@@ -52,10 +53,10 @@ int main() {
       for (const LaunchDescriptor& d : fused.launches) {
         if (!d.is_fused()) continue;
         ++fused_count;
-        measured += pipe.sim.run(pipe.expansion.program, d).time_s;
-        t_roof += roofline.project(pipe.expansion.program, d).time_s;
-        t_simple += simple.project(pipe.expansion.program, d).time_s;
-        t_prop += pipe.model.project(pipe.expansion.program, d).time_s;
+        measured += ctx.simulator.run(expanded, d).time_s;
+        t_roof += roofline.project(expanded, d).time_s;
+        t_simple += simple.project(expanded, d).time_s;
+        t_prop += ctx.model->project(expanded, d).time_s;
       }
       if (fused_count == 0) continue;
       const double re = t_roof / measured - 1.0;

@@ -31,12 +31,12 @@ int main() {
       int idx = 0;
       for (const DeviceSpec& device : {DeviceSpec::k20x(), DeviceSpec::gtx750ti()}) {
         // Maxwell runs in single precision, as in the paper (§IV).
-        bench::BenchPipeline pipe(
+        const PlanContext ctx(
             device.name == "GTX750Ti" ? program.with_precision(4) : program, device);
         const SearchResult result =
-            pipe.search(60, small ? 100 : 250, small ? 30 : 70, cfg.seed);
-        const double before = pipe.baseline_time();
-        const double after = pipe.measured_time(result.best);
+            bench::hgga_search(ctx, 60, small ? 100 : 250, small ? 30 : 70, cfg.seed);
+        const double before = ctx.simulator.program_time(ctx.expansion.program);
+        const double after = ctx.simulated_time(result.best);
         speedup[idx++] = before / after;
       }
       kepler.add(speedup[0]);

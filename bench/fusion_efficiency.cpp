@@ -21,35 +21,35 @@ struct FeResult {
 FeResult fusion_efficiency_for(const kf::Program& program, const kf::DeviceSpec& device,
                                std::uint64_t seed) {
   using namespace kf;
-  bench::BenchPipeline pipe(program, device);
-  const SearchResult result = pipe.search(50, 200, 60, seed);
-  const FusedProgram fused = apply_fusion(pipe.checker, result.best);
+  const PlanContext ctx(program, device);
+  const Program& expanded = ctx.expansion.program;
+  const SearchResult result = bench::hgga_search(ctx, 50, 200, 60, seed);
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
 
   // Profiler-style transaction counts (what the paper's Eq. 11 LD/ST
   // numbers are): the traffic model's byte counts over the element size.
   double before_bytes = 0.0;
-  for (KernelId k = 0; k < pipe.expansion.program.num_kernels(); ++k) {
+  for (KernelId k = 0; k < expanded.num_kernels(); ++k) {
     before_bytes +=
-        compute_traffic(pipe.expansion.program,
-                        descriptor_for_original(pipe.expansion.program, k))
-            .gmem_total();
+        compute_traffic(expanded, descriptor_for_original(expanded, k)).gmem_total();
   }
   double after_bytes = 0.0;
   for (const LaunchDescriptor& d : fused.launches) {
-    after_bytes += compute_traffic(pipe.expansion.program, d).gmem_total();
+    after_bytes += compute_traffic(expanded, d).gmem_total();
   }
 
   // Element-exact operation counts via the block executor (independent,
   // functional-engine view; assumes ideal per-block staging both sides).
-  GridSet before_grids(pipe.expansion.program);
-  const ExecCounters before_ops = BlockExecutor(pipe.expansion.program).run(before_grids);
+  GridSet before_grids(expanded);
+  const ExecCounters before_ops = BlockExecutor(expanded).run(before_grids);
   GridSet after_grids(fused.program);
   const ExecCounters after_ops = BlockExecutor(fused.program).run(after_grids);
 
   FeResult out;
   out.op_ratio = after_bytes / before_bytes;
   out.func_op_ratio = after_ops.gmem_ops() / before_ops.gmem_ops();
-  out.time_ratio = pipe.measured_time(result.best) / pipe.baseline_time();
+  out.time_ratio =
+      ctx.simulated_time(result.best) / ctx.simulator.program_time(expanded);
   out.fe = out.op_ratio / out.time_ratio;
   return out;
 }

@@ -21,17 +21,13 @@ int main() {
   Case cases[] = {{"SCALE-LES", scale_les(), 1.35, 1.32},
                   {"HOMME", homme(), 1.20, 1.18}};
 
-  for (Case& c : cases) {
+  for (const Case& c : cases) {
     for (const DeviceSpec& device : {DeviceSpec::k40(), DeviceSpec::k20x()}) {
-      bench::BenchPipeline pipe(c.program, device);
-      HggaConfig cfg;
-      cfg.population = 100;
-      cfg.max_generations = small ? 150 : 600;
-      cfg.stall_generations = small ? 50 : 150;
-      cfg.seed = 0x7ab1e7;
-      const SearchResult result = pipe.search(cfg);
-      const double before = pipe.baseline_time();
-      const double after = pipe.measured_time(result.best);
+      const PlanContext ctx(c.program, device);
+      const SearchResult result =
+          bench::hgga_search(ctx, 100, small ? 150 : 600, small ? 50 : 150, 0x7ab1e7);
+      const double before = ctx.simulator.program_time(ctx.expansion.program);
+      const double after = ctx.simulated_time(result.best);
       const double paper = device.name == "K40" ? c.paper_k40 : c.paper_k20x;
       table.add(c.name, device.name, human_time(before), human_time(after),
                 fixed(before / after, 2) + "x", fixed(paper, 2) + "x");

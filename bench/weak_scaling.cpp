@@ -24,21 +24,18 @@ int main() {
   };
   AppCase cases[] = {{"SCALE-LES", scale_les()}, {"HOMME", homme()}};
 
-  for (AppCase& c : cases) {
-    bench::BenchPipeline pipe(std::move(c.program), DeviceSpec::k20x());
-    HggaConfig cfg;
-    cfg.population = 100;
-    cfg.max_generations = small ? 120 : 400;
-    cfg.stall_generations = small ? 40 : 120;
-    cfg.seed = 0x5ca1e;
-    const SearchResult result = pipe.search(cfg);
-    const double before_s = pipe.baseline_time();
-    const double after_s = pipe.measured_time(result.best);
+  for (const AppCase& c : cases) {
+    const PlanContext ctx(c.program, DeviceSpec::k20x());
+    const Program& expanded = ctx.expansion.program;
+    const SearchResult result =
+        bench::hgga_search(ctx, 100, small ? 120 : 400, small ? 40 : 120, 0x5ca1e);
+    const double before_s = ctx.simulator.program_time(expanded);
+    const double after_s = ctx.simulated_time(result.best);
 
     const WeakScalingProjection before =
-        project_weak_scaling(pipe.expansion.program, before_s, network, nodes);
+        project_weak_scaling(expanded, before_s, network, nodes);
     const WeakScalingProjection after =
-        project_weak_scaling(pipe.expansion.program, after_s, network, nodes);
+        project_weak_scaling(expanded, after_s, network, nodes);
 
     std::cout << "\n--- " << c.name << " (single-node speedup "
               << fixed(before_s / after_s, 2) << "x) ---\n\n";

@@ -22,20 +22,14 @@ int main(int argc, char** argv) {
   std::cout << "Capacity planning for '" << program.name() << "' ("
             << program.num_kernels() << " kernels)\n\n";
 
-  const ExpansionResult expansion = expand_arrays(program);
-
   TextTable table({"SMEM/SMX", "best cost", "projected speedup", "new kernels"});
   for (long kb : {16L, 32L, 48L, 64L, 128L, 256L}) {
-    const DeviceSpec device = DeviceSpec::k20x().with_smem_capacity(kb * 1024);
-    const TimingSimulator simulator(device);
-    const LegalityChecker checker(expansion.program, device);
-    const ProposedModel model(device);
-    const Objective objective(checker, model, simulator);
+    const PlanContext ctx(program, DeviceSpec::k20x().with_smem_capacity(kb * 1024));
     HggaConfig cfg;
     cfg.population = 50;
     cfg.max_generations = 150;
     cfg.stall_generations = 40;
-    const SearchResult result = Hgga(objective, cfg).run();
+    const SearchResult result = Hgga(ctx.objective, cfg).run();
     table.add(human_bytes(static_cast<double>(kb) * 1024), human_time(result.best_cost_s),
               fixed(result.projected_speedup(), 2),
               static_cast<long>(result.best.fused_group_count()));

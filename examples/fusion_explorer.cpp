@@ -22,11 +22,6 @@ int main(int argc, char** argv) {
   std::cout << "Benchmark " << testsuite_id(cfg) << ": " << program.num_kernels()
             << " kernels, " << program.num_arrays() << " arrays\n";
 
-  const ExpansionResult expansion = expand_arrays(program);
-  const DeviceSpec device = DeviceSpec::k20x();
-  const TimingSimulator simulator(device);
-  const ProposedModel model(device);
-
   const ReducibleTrafficReport traffic = reducible_traffic(program);
   std::cout << "Reducible GMEM traffic bound: "
             << fixed(100 * traffic.reducible_fraction, 1) << "%\n\n";
@@ -39,33 +34,30 @@ int main(int argc, char** argv) {
               human_time(r.runtime_s));
   };
 
+  // A fresh context per method, so each starts from a cold group-cost cache.
   {
-    LegalityChecker checker(expansion.program, device);
-    Objective objective(checker, model, simulator);
+    const PlanContext ctx(program, DeviceSpec::k20x());
     HggaConfig hcfg;
     hcfg.population = 60;
     hcfg.max_generations = 250;
     hcfg.stall_generations = 60;
     hcfg.seed = cfg.seed;
-    report("hgga", Hgga(objective, hcfg).run());
+    report("hgga", Hgga(ctx.objective, hcfg).run());
   }
   {
-    LegalityChecker checker(expansion.program, device);
-    Objective objective(checker, model, simulator);
-    report("greedy", greedy_search(objective));
+    const PlanContext ctx(program, DeviceSpec::k20x());
+    report("greedy", greedy_search(ctx.objective));
   }
   {
-    LegalityChecker checker(expansion.program, device);
-    Objective objective(checker, model, simulator);
+    const PlanContext ctx(program, DeviceSpec::k20x());
     RandomSearchConfig rcfg;
     rcfg.samples = 2000;
     rcfg.seed = cfg.seed;
-    report("random", random_search(objective, rcfg));
+    report("random", random_search(ctx.objective, rcfg));
   }
   if (program.num_kernels() <= 11) {
-    LegalityChecker checker(expansion.program, device);
-    Objective objective(checker, model, simulator);
-    report("exhaustive", exhaustive_search(objective));
+    const PlanContext ctx(program, DeviceSpec::k20x());
+    report("exhaustive", exhaustive_search(ctx.objective));
   }
 
   std::cout << table;

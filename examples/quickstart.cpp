@@ -16,23 +16,19 @@ int main() {
   std::cout << "Program '" << program.name() << "': " << program.num_kernels()
             << " kernels, " << program.num_arrays() << " arrays\n\n";
 
-  // 2. Relax expandable read-write arrays (none in this example, but it is
-  //    part of the standard pipeline).
-  const ExpansionResult expansion = expand_arrays(program);
+  // 2. The analysis stack for the target device: relax expandable
+  //    read-write arrays (none in this example, but it is part of the
+  //    standard pipeline), then build the legality checker, timing
+  //    simulator, projection model and objective over the result.
+  const PlanContext ctx(program, DeviceSpec::k20x());
+  const ExpansionResult& expansion = ctx.expansion;
 
-  // 3. Target device + the analysis stack.
-  const DeviceSpec device = DeviceSpec::k20x();
-  const TimingSimulator simulator(device);
-  const LegalityChecker checker(expansion.program, device);
-  const ProposedModel model(device);
-  const Objective objective(checker, model, simulator);
-
-  // 4. Search for the best fusion plan with the HGGA.
+  // 3. Search for the best fusion plan with the HGGA.
   HggaConfig config;
   config.population = 40;
   config.max_generations = 100;
   config.stall_generations = 30;
-  const SearchResult result = Hgga(objective, config).run();
+  const SearchResult result = Hgga(ctx.objective, config).run();
 
   std::cout << "Search: " << result.generations << " generations, "
             << result.evaluations << " objective evaluations in "
@@ -42,33 +38,30 @@ int main() {
             << human_time(result.baseline_cost_s) << " (projected speedup "
             << fixed(result.projected_speedup(), 2) << "x)\n\n";
 
-  // 5. Apply the plan and verify functional equivalence bit-for-bit.
-  const FusedProgram fused = apply_fusion(checker, result.best);
+  // 4. Apply the plan and verify functional equivalence bit-for-bit.
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
   const EquivalenceReport report = verify_fusion(program, fused, &expansion);
   std::cout << "Fused program has " << fused.num_new_kernels() << " kernels; "
             << "functional equivalence: " << (report.equivalent ? "PASS" : "FAIL")
             << " (max |diff| " << report.max_abs_diff << ")\n";
 
-  // 6. Measure (simulate) the real effect.
-  double fused_time = 0;
-  for (const LaunchDescriptor& d : fused.launches) {
-    fused_time += simulator.run(expansion.program, d).time_s;
-  }
-  const double original_time = simulator.program_time(expansion.program);
+  // 5. Measure (simulate) the real effect.
+  const double fused_time = ctx.simulated_time(result.best);
+  const double original_time = ctx.simulator.program_time(expansion.program);
   std::cout << "Simulated runtime: " << human_time(original_time) << " -> "
             << human_time(fused_time) << " (speedup "
             << fixed(original_time / fused_time, 2) << "x)\n";
 
-  // 7. Note what the search did NOT do: fusing {C, D, E} into the paper's
+  // 6. Note what the search did NOT do: fusing {C, D, E} into the paper's
   //    Kernel Y is legal but unprofitable (register pressure), and the
   //    projection model steered the search away from it — the paper's §IV
   //    motivating insight, visible right here.
   const std::vector<KernelId> y{program.find_kernel("Kern_C"),
                                 program.find_kernel("Kern_D"),
                                 program.find_kernel("Kern_E")};
-  const LaunchDescriptor y_desc = checker.builder().build(y);
-  const double y_fused = simulator.run(expansion.program, y_desc).time_s;
-  const double y_orig = simulator.original_sum(expansion.program, y);
+  const LaunchDescriptor y_desc = ctx.checker.builder().build(y);
+  const double y_fused = ctx.simulator.run(expansion.program, y_desc).time_s;
+  const double y_orig = ctx.simulator.original_sum(expansion.program, y);
   std::cout << "\n(For contrast: fusing {C, D, E} into the paper's Kernel Y would"
             << "\n run at " << human_time(y_fused) << " vs " << human_time(y_orig)
             << " unfused — a slowdown the projection model correctly rejected.)\n";

@@ -32,26 +32,23 @@ int main(int argc, char** argv) {
   std::cout << "Tuned launch: " << tuned.best.block_x << "x" << tuned.best.block_y
             << " (" << human_time(tuned.best_time_s) << " unfused)\n";
 
-  const ExpansionResult expansion = expand_arrays(program);
-  const TimingSimulator sim(device);
-  const LegalityChecker checker(expansion.program, device);
-  const ProposedModel model(device);
-  const Objective objective(checker, model, sim);
+  const PlanContext ctx(program, device);
+  const Program& expanded = ctx.expansion.program;
   HggaConfig config;
   config.population = 50;
   config.max_generations = 150;
   config.stall_generations = 45;
-  const SearchResult result = Hgga(objective, config).run();
-  const FusedProgram fused = apply_fusion(checker, result.best);
+  const SearchResult result = Hgga(ctx.objective, config).run();
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
 
   // Event-level schedules, before and after fusion.
   const EventSimulator events(device);
   std::vector<LaunchDescriptor> original_launches;
-  for (KernelId k = 0; k < expansion.program.num_kernels(); ++k) {
-    original_launches.push_back(descriptor_for_original(expansion.program, k));
+  for (KernelId k = 0; k < expanded.num_kernels(); ++k) {
+    original_launches.push_back(descriptor_for_original(expanded, k));
   }
-  const EventTrace before = events.run_sequence(expansion.program, original_launches);
-  const EventTrace after = events.run_sequence(expansion.program, fused.launches);
+  const EventTrace before = events.run_sequence(expanded, original_launches);
+  const EventTrace after = events.run_sequence(expanded, fused.launches);
 
   TextTable table({"launch", "blocks/SMX", "duration", "share"});
   for (const LaunchTimeline& t : after.launches) {

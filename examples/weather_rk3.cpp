@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
             << " write-only\n";
   if (dump_dot) std::cout << deps.to_dot(rk3) << "\n";
 
-  // --- expandable-array relaxation ---
-  const ExpansionResult expansion = expand_arrays(rk3);
+  // --- expandable-array relaxation, and the analysis stack on K20X ---
+  const PlanContext ctx(rk3, DeviceSpec::k20x());
+  const ExpansionResult& expansion = ctx.expansion;
   std::cout << "Expansion added " << expansion.arrays_added
             << " redundant arrays (" << human_bytes(expansion.extra_bytes)
             << " extra device memory)\n";
@@ -38,42 +39,33 @@ int main(int argc, char** argv) {
   if (dump_dot) std::cout << order.to_dot(expansion.program) << "\n";
 
   // --- search on K20X ---
-  const DeviceSpec device = DeviceSpec::k20x();
-  const TimingSimulator simulator(device);
-  const LegalityChecker checker(expansion.program, device);
-  const ProposedModel model(device);
-  const Objective objective(checker, model, simulator);
-
   HggaConfig config;
   config.population = 60;
   config.max_generations = 200;
   config.stall_generations = 50;
-  const SearchResult result = Hgga(objective, config).run();
+  const SearchResult result = Hgga(ctx.objective, config).run();
 
   std::cout << "\nBest fusion: " << rk3.num_kernels() << " kernels -> "
             << result.best.num_groups() << " launches ("
             << result.best.fused_kernel_count() << " kernels fused into "
             << result.best.fused_group_count() << " new kernels)\n";
 
-  const FusedProgram fused = apply_fusion(checker, result.best);
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
   TextTable table({"new kernel", "members", "projected", "measured", "original sum"});
   for (int j = 0; j < fused.num_new_kernels(); ++j) {
     const LaunchDescriptor& d = fused.launches[static_cast<std::size_t>(j)];
     if (!d.is_fused()) continue;
-    const double projected = model.project(expansion.program, d).time_s;
-    const double measured = simulator.run(expansion.program, d).time_s;
-    const double original = simulator.original_sum(expansion.program, d.members);
+    const double projected = ctx.model->project(expansion.program, d).time_s;
+    const double measured = ctx.simulator.run(expansion.program, d).time_s;
+    const double original = ctx.simulator.original_sum(expansion.program, d.members);
     table.add(d.name, static_cast<long>(d.members.size()), human_time(projected),
               human_time(measured), human_time(original));
   }
   std::cout << table;
 
   const EquivalenceReport report = verify_fusion(rk3, fused, &expansion);
-  const double before = simulator.program_time(expansion.program);
-  double after = 0;
-  for (const LaunchDescriptor& d : fused.launches) {
-    after += simulator.run(expansion.program, d).time_s;
-  }
+  const double before = ctx.simulator.program_time(expansion.program);
+  const double after = ctx.simulated_time(result.best);
   std::cout << "\nRoutine runtime " << human_time(before) << " -> " << human_time(after)
             << " (speedup " << fixed(before / after, 2) << "x); equivalence "
             << (report.equivalent ? "PASS" : "FAIL") << "\n";

@@ -115,10 +115,8 @@ ReducibleTrafficReport reducible_traffic(const Program& input, bool expand) {
       }
     }
     if (best_a >= 0) {
-      FusionPlan trial = plan;
-      trial.merge_groups(best_a, best_b);
-      if (checker.plan_is_schedulable(trial)) {
-        plan = std::move(trial);
+      if (checker.merge_is_schedulable(plan, best_a, best_b)) {
+        plan.merge_groups(best_a, best_b);
         progress = true;
       } else {
         std::vector<KernelId> ga(plan.group(best_a).begin(), plan.group(best_a).end());

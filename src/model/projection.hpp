@@ -11,12 +11,15 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "gpu/device_spec.hpp"
 #include "gpu/launch_descriptor.hpp"
 #include "ir/program.hpp"
 
 namespace kf {
+
+class TimingSimulator;  // gpu/timing_simulator.hpp
 
 struct Projection {
   double time_s = 0.0;
@@ -47,6 +50,13 @@ class ProjectionModel {
   virtual Projection project_impl(const Program& program,
                                   const LaunchDescriptor& launch) const = 0;
 };
+
+/// The model a search's objective uses, by name: "proposed" (Eqs. 2-10),
+/// "literal" (the paper-literal formulation), "roofline" or "simple" (which
+/// measures `program`'s originals with `simulator`; both must outlive the
+/// model). Throws PreconditionError on any other name.
+std::unique_ptr<ProjectionModel> make_projection_model(
+    std::string_view name, const Program& program, const TimingSimulator& simulator);
 
 /// Dominant element width of the program's arrays (8 for DP programs);
 /// the divisor in Eq. 9.

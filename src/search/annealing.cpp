@@ -26,11 +26,9 @@ bool random_move(const LegalityChecker& checker, FusionPlan& plan, Rng& rng) {
     if (ga == gb) return false;
     std::vector<KernelId> merged(plan.group(ga).begin(), plan.group(ga).end());
     merged.insert(merged.end(), plan.group(gb).begin(), plan.group(gb).end());
-    if (!checker.group_is_legal(merged)) return false;
-    FusionPlan trial = plan;
-    trial.merge_groups(ga, gb);
-    if (!checker.plan_is_schedulable(trial)) return false;
-    plan = std::move(trial);
+    if (!checker.group_is_legal(merged) || !checker.merge_is_schedulable(plan, ga, gb))
+      return false;
+    plan.merge_groups(ga, gb);
     return true;
   }
   if (kind == 1) {

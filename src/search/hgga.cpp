@@ -452,23 +452,19 @@ int Hgga::mutate(Individual& individual, Rng& rng,
         std::vector<KernelId>& merged = scratch_.members;
         merged.assign(plan.group(ga).begin(), plan.group(ga).end());
         merged.insert(merged.end(), plan.group(gb).begin(), plan.group(gb).end());
-        if (checker.group_is_legal(merged)) {
-          FusionPlan trial = plan;
-          trial.merge_groups(ga, gb);
-          if (checker.plan_is_schedulable(trial)) {
-            if (provenance) {
-              std::sort(merged.begin(), merged.end());
-              const double delta =
-                  (objective_.inspect_group_cost(merged).cost_s -
-                   objective_.inspect_group_cost(plan.group(ga)).cost_s) -
-                  objective_.inspect_group_cost(plan.group(gb)).cost_s;
-              telemetry->decisions->record(DecisionLog::Site::MutationMerge,
-                                           true, merged, delta,
-                                           objective_.dominant_component(merged));
-            }
-            plan = std::move(trial);
-            ++applied;
+        if (checker.group_is_legal(merged) && checker.merge_is_schedulable(plan, ga, gb)) {
+          if (provenance) {
+            std::sort(merged.begin(), merged.end());
+            const double delta =
+                (objective_.inspect_group_cost(merged).cost_s -
+                 objective_.inspect_group_cost(plan.group(ga)).cost_s) -
+                objective_.inspect_group_cost(plan.group(gb)).cost_s;
+            telemetry->decisions->record(DecisionLog::Site::MutationMerge,
+                                         true, merged, delta,
+                                         objective_.dominant_component(merged));
           }
+          plan.merge_groups(ga, gb);
+          ++applied;
         }
       }
     }

@@ -44,10 +44,7 @@ Objective::Objective(const LegalityChecker& checker, const ProjectionModel& mode
 
 Objective::Objective(const LegalityChecker& checker, const ProjectionModel& model,
                      const TimingSimulator& simulator, Options options)
-    : checker_(checker), model_(model), simulator_(simulator), options_(options),
-      cache_(options.cache_shards) {
-  KF_REQUIRE(options_.unprofitable_penalty >= 1.0,
-             "unprofitable penalty must be >= 1");
+    : checker_(checker), model_(model), simulator_(simulator), options_(options) {
   const Program& program = checker_.program();
   original_times_.reserve(static_cast<std::size_t>(program.num_kernels()));
   for (KernelId k = 0; k < program.num_kernels(); ++k) {
@@ -65,7 +62,7 @@ Objective::GroupCost Objective::quarantine_cost(std::span<const KernelId> group)
   GroupCost out;
   out.profitable = false;
   for (KernelId k : group) out.cost_s += original_time(k);
-  out.cost_s *= options_.unprofitable_penalty;
+  out.cost_s *= kUnprofitablePenalty;
   return out;
 }
 
@@ -83,7 +80,7 @@ Objective::GroupCost Objective::compute_group_cost(std::span<const KernelId> gro
   const LaunchDescriptor d = checker_.builder().build(group);
   const Projection projection = model_.project(checker_.program(), d);
   if (!projection.feasible || projection.time_s >= original_sum) {
-    out.cost_s = original_sum * options_.unprofitable_penalty;
+    out.cost_s = original_sum * kUnprofitablePenalty;
     out.profitable = false;
   } else {
     out.cost_s = projection.time_s;

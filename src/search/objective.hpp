@@ -49,16 +49,16 @@ struct Telemetry;  // telemetry/telemetry.hpp
 
 class Objective {
  public:
+  /// Cost factor on the original sum of an unprofitable or quarantined group.
+  static constexpr double kUnprofitablePenalty = 1.05;
+
   struct Options {
-    double unprofitable_penalty = 1.05;  ///< cost factor for rejected groups
     bool enable_cache = true;
     /// Fault isolation: when a model/simulator evaluation throws, charge the
     /// group the unprofitable penalty on its original sum and quarantine its
     /// fingerprint instead of letting the exception abort the search. Turn
     /// off to propagate evaluation failures to the caller.
     bool quarantine_faults = true;
-    /// Lock stripes of the group-cost cache (rounded up to a power of two).
-    int cache_shards = GroupCostCache::kDefaultShards;
   };
 
   /// All referees must outlive the objective.

@@ -32,10 +32,8 @@ FusionPlan random_legal_plan(const LegalityChecker& checker, Rng& rng,
       std::vector<KernelId> merged(plan.group(ga).begin(), plan.group(ga).end());
       merged.insert(merged.end(), plan.group(gb).begin(), plan.group(gb).end());
       if (!checker.group_is_legal(merged)) continue;
-      FusionPlan trial = plan;
-      trial.merge_groups(ga, gb);
-      if (checker.plan_is_schedulable(trial)) {
-        plan = std::move(trial);
+      if (checker.merge_is_schedulable(plan, ga, gb)) {
+        plan.merge_groups(ga, gb);
         break;
       }
     }

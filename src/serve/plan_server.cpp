@@ -6,9 +6,8 @@
 #include <thread>
 #include <utility>
 
-#include "graph/array_expansion.hpp"
-#include "model/proposed_model.hpp"
 #include "search/population.hpp"
+#include "serve/plan_context.hpp"
 #include "store/fingerprint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -16,43 +15,9 @@
 
 namespace kf {
 
-/// The per-(program, device) evaluation stack. Declaration order is
-/// construction order: the objective borrows everything above it. Immutable
-/// after construction apart from internally-synchronised state (the
-/// Objective's atomic counters and lock-striped group-cost cache, the
-/// checker's resource-verdict memo), so concurrent requests share one
-/// Context freely.
-struct PlanServer::Context {
-  ExpansionResult expansion;
-  DeviceSpec device;
-  TimingSimulator simulator;
-  LegalityChecker checker;
-  ProposedModel model;
-  Objective objective;
-  PlanKey key;
-
-  Context(const Program& program, const DeviceSpec& dev,
-          const PlanServerConfig& config)
-      : expansion(config.expand
-                      ? expand_arrays(program, config.mem_budget)
-                      : ExpansionResult{.program = program,
-                                        .arrays_added = 0,
-                                        .extra_bytes = 0.0,
-                                        .versions = {}}),
-        device(dev),
-        simulator(device),
-        checker(expansion.program, device),
-        model(device),
-        objective(checker, model, simulator) {
-    key.program_fp = program_fingerprint(expansion.program);
-    key.device_fp = device_fingerprint(device);
-    objective.set_telemetry(config.telemetry);
-  }
-};
-
 struct PlanServer::ContextSlot {
   std::once_flag once;
-  std::unique_ptr<Context> ctx;
+  std::unique_ptr<PlanContext> ctx;
 };
 
 /// Rendezvous between a coalescing leader and its waiters. The leader
@@ -156,8 +121,8 @@ PlanServer::PlanServer(PlanStore& store, PlanServerConfig config)
 
 PlanServer::~PlanServer() = default;
 
-PlanServer::Context& PlanServer::context(const Program& program,
-                                         const DeviceSpec& device) {
+const PlanContext& PlanServer::context(const Program& program,
+                                       const DeviceSpec& device) {
   KF_REQUIRE(program.num_kernels() > 0, "PlanServer: empty program");
   // Keyed on the *raw* program so the lookup never re-runs expansion; the
   // stored PlanKey inside uses the expanded fingerprint.
@@ -174,12 +139,13 @@ PlanServer::Context& PlanServer::context(const Program& program,
   // requests on a brand-new key build the stack exactly once and the
   // losers block only on this key, not on the whole map.
   std::call_once(slot->once, [&] {
-    slot->ctx = std::make_unique<Context>(program, device, config_);
+    slot->ctx = std::make_unique<PlanContext>(program, device, config_.mem_budget);
+    slot->ctx->objective.set_telemetry(config_.telemetry);
   });
   return *slot->ctx;
 }
 
-double PlanServer::begin(const Context& ctx, const ServeRequest& request,
+double PlanServer::begin(const PlanContext& ctx, const ServeRequest& request,
                          double dequeue_s, ServeResult& result) {
   result.worker_id = request.worker_id;
   result.deadline_s =
@@ -196,7 +162,7 @@ double PlanServer::begin(const Context& ctx, const ServeRequest& request,
                                   : dequeue_s;
 }
 
-bool PlanServer::plan_usable(const Context& ctx, const std::string& plan_text,
+bool PlanServer::plan_usable(const PlanContext& ctx, const std::string& plan_text,
                              FusionPlan* out) const {
   const int n = ctx.expansion.program.num_kernels();
   FusionPlan plan;
@@ -210,7 +176,7 @@ bool PlanServer::plan_usable(const Context& ctx, const std::string& plan_text,
   return true;
 }
 
-void PlanServer::write_back(Context& ctx, ServeResult& result) {
+void PlanServer::write_back(const PlanContext& ctx, ServeResult& result) {
   const double mark = config_.clock();
   SpanTracer::Scope span =
       scoped_span(config_.telemetry, "serve.write_back", "serve");
@@ -295,7 +261,7 @@ void PlanServer::finish(ServeResult& result, double start_s) {
   if (t->wants_trace()) result.to_event(*t->trace);
 }
 
-void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
+void PlanServer::miss_ladder(const PlanContext& ctx, const ServeRequest& request,
                              double start_s, ServeResult& result) {
   const int n = ctx.expansion.program.num_kernels();
 
@@ -425,7 +391,7 @@ ServeResult PlanServer::reject_overload(const Program& program,
                                         const DeviceSpec& device,
                                         const ServeRequest& request) {
   const double dequeue_s = config_.clock();
-  Context& ctx = context(program, device);
+  const PlanContext& ctx = context(program, device);
   ServeResult result;
   const double start = begin(ctx, request, dequeue_s, result);
   TraceScope trace_scope(result.trace_id);
@@ -445,7 +411,7 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
   const double dequeue_s = config_.clock();
   // The context (and its baseline) is needed on every path — even a
   // rejected request answers with a costed identity plan.
-  Context& ctx = context(program, device);
+  const PlanContext& ctx = context(program, device);
   ServeResult result;
   const double start = begin(ctx, request, dequeue_s, result);
 

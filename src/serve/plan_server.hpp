@@ -83,6 +83,8 @@
 
 namespace kf {
 
+struct PlanContext;  // serve/plan_context.hpp
+
 struct ServeRequest {
   double deadline_s = 0.0;   ///< wall budget; <= 0: server default
   long max_evaluations = 0;  ///< eval budget for FullSearch; <= 0: server default
@@ -120,9 +122,9 @@ struct PlanServerConfig {
   SearchMethod method = SearchMethod::Greedy;
   HggaConfig hgga;          ///< used when method == Hgga
 
-  /// Expandable-array relaxation applied to incoming programs (matches
+  /// Redundant-array budget of the expandable-array relaxation applied to
+  /// incoming programs: negative is unlimited, 0 is no expansion (matches
   /// `kfc search` defaults so served plans and offline plans share keys).
-  bool expand = true;
   double mem_budget = -1.0;
 
   /// Observability (nullable, must outlive the server).
@@ -193,14 +195,12 @@ class PlanServer {
   double now() const { return config_.clock(); }
 
  private:
-  /// Per-(program, device) evaluation stack, built once and reused across
-  /// requests: expansion, simulator, legality checker, projection model and
-  /// the Objective whose group-cost cache makes repeat requests cheap.
-  struct Context;
-  /// Map slot for a Context: the slot is created under the map lock, the
-  /// (expensive) Context inside it under std::call_once — so two requests
-  /// racing on a new key build it exactly once, without holding the map
-  /// lock across expansion + checker construction.
+  /// Map slot for a key's PlanContext, built once and reused across
+  /// requests (its objective's group-cost cache makes repeats cheap). The
+  /// slot is created under the map lock, the (expensive) context inside it
+  /// under std::call_once — so two requests racing on a new key build it
+  /// exactly once, without holding the map lock across expansion + checker
+  /// construction.
   struct ContextSlot;
   /// One in-flight miss per key: the leader's rendezvous with its waiters.
   struct InFlight;
@@ -226,25 +226,25 @@ class PlanServer {
   std::atomic<int> inflight_requests_{0};  ///< serve.inflight gauge source
   std::atomic<long> coalesce_waiting_{0};
 
-  Context& context(const Program& program, const DeviceSpec& device);
+  const PlanContext& context(const Program& program, const DeviceSpec& device);
   /// Opens the record of one request: effective deadline, worker, identity
   /// (seq, fingerprints, trace id) and the identity-plan baseline every
   /// rung can fall back to. Returns the latency clock's origin: the enqueue
   /// time for engine-submitted requests, else `dequeue_s`.
-  double begin(const Context& ctx, const ServeRequest& request,
+  double begin(const PlanContext& ctx, const ServeRequest& request,
                double dequeue_s, ServeResult& result);
-  bool plan_usable(const Context& ctx, const std::string& plan_text,
+  bool plan_usable(const PlanContext& ctx, const std::string& plan_text,
                    FusionPlan* out) const;
   /// Rungs 2..4 (polish / full search / floor) for a confirmed store miss;
   /// sets result.{rung, plan, cost_s, retries}. Write-back and waiter
   /// publication happen in the caller.
-  void miss_ladder(Context& ctx, const ServeRequest& request, double start_s,
-                   ServeResult& result);
+  void miss_ladder(const PlanContext& ctx, const ServeRequest& request,
+                   double start_s, ServeResult& result);
   /// Hands the leader's outcome to every parked waiter and retires the
   /// in-flight entry for `key`.
   void publish_flight(const std::shared_ptr<InFlight>& flight,
                       const ContextKey& key, const ServeResult& result);
-  void write_back(Context& ctx, ServeResult& result);
+  void write_back(const PlanContext& ctx, ServeResult& result);
   /// Closes the record (latency, deadline, degradation) and hands it to
   /// every sink.
   void finish(ServeResult& result, double start_s);

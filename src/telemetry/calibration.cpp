@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace kf {
 namespace {
@@ -12,17 +13,6 @@ namespace {
 // reservoirs: fixed seed, so two runs over the same sample stream keep the
 // same percentile reservoir bit for bit.
 constexpr std::uint64_t kLcgSeed = 0x243f6a8885a308d3ULL;
-
-double sorted_percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  if (v.size() == 1) return v[0];
-  const double rank = (p / 100.0) * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
 
 }  // namespace
 
@@ -121,11 +111,13 @@ std::vector<CalibrationTracker::BucketStats> CalibrationTracker::stats() const {
     s.underestimates = b.under;
     s.drift = b.drift;
     std::vector<double> rel = b.reservoir;
-    s.p50_rel_error = sorted_percentile(rel, 50.0);
+    std::sort(rel.begin(), rel.end());
+    s.p50_rel_error = percentile(rel, 50.0);
     std::vector<double> abs_rel(b.reservoir.size());
     for (std::size_t j = 0; j < b.reservoir.size(); ++j)
       abs_rel[j] = std::abs(b.reservoir[j]);
-    s.p90_abs_rel_error = sorted_percentile(abs_rel, 90.0);
+    std::sort(abs_rel.begin(), abs_rel.end());
+    s.p90_abs_rel_error = percentile(abs_rel, 90.0);
     out.push_back(s);
   }
   return out;

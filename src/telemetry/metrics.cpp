@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace kf {
 
@@ -164,12 +165,7 @@ double MetricsRegistry::HistogramSnapshot::percentile(double p) const {
   // and p=100 report the true min/max rather than reservoir survivors.
   if (p == 0.0 && count > 0) return min;
   if (p == 100.0 && count > 0) return max;
-  if (samples.size() == 1) return samples[0];
-  const double rank = (p / 100.0) * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + frac * (samples[hi] - samples[lo]);
+  return kf::percentile(samples, p);
 }
 
 MetricsRegistry::HistogramSnapshot MetricsRegistry::histogram(

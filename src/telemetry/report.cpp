@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/stats.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -45,18 +46,6 @@ std::string bar(double value, double lo, double hi) {
   const int fill = static_cast<int>(std::lround(frac * width));
   return std::string(static_cast<std::size_t>(fill), '#') +
          std::string(static_cast<std::size_t>(width - fill), '.');
-}
-
-/// Linear-interpolation percentile over an already-sorted sample vector
-/// (same convention as MetricsRegistry::HistogramSnapshot::percentile).
-double pct_sorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted[0];
-  const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 RunReport::ServeRungStats& rung_row(std::vector<RunReport::ServeRungStats>& rungs,
@@ -462,9 +451,9 @@ std::string RunReport::render(int top_k) const {
           const long n = r.counter_requests > 0
                              ? r.counter_requests
                              : static_cast<long>(sorted.size());
-          table.add(r.rung, n, human_time(pct_sorted(sorted, 50)),
-                    human_time(pct_sorted(sorted, 95)),
-                    human_time(pct_sorted(sorted, 99)), r.deadline_misses,
+          table.add(r.rung, n, human_time(percentile(sorted, 50)),
+                    human_time(percentile(sorted, 95)),
+                    human_time(percentile(sorted, 99)), r.deadline_misses,
                     r.has_headroom ? fixed(100.0 * r.worst_headroom, 1) + "%"
                                    : "-");
         }
@@ -613,9 +602,9 @@ JsonValue RunReport::to_json() const {
       if (!r.latencies_s.empty()) {
         std::vector<double> sorted = r.latencies_s;
         std::sort(sorted.begin(), sorted.end());
-        row.set("p50_s", pct_sorted(sorted, 50));
-        row.set("p95_s", pct_sorted(sorted, 95));
-        row.set("p99_s", pct_sorted(sorted, 99));
+        row.set("p50_s", percentile(sorted, 50));
+        row.set("p95_s", percentile(sorted, 95));
+        row.set("p99_s", percentile(sorted, 99));
       }
       if (r.has_headroom) row.set("min_headroom", r.worst_headroom);
       rungs.push_back(std::move(row));

@@ -31,6 +31,16 @@ double median(std::vector<double> xs) {
   return (n % 2 == 1) ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
+double percentile(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  if (sorted.size() == 1) return sorted[0];
+  const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
 double geomean(std::span<const double> xs) {
   KF_REQUIRE(!xs.empty(), "geomean of empty range");
   double acc = 0.0;

@@ -11,6 +11,9 @@ double mean(std::span<const double> xs);
 double variance(std::span<const double> xs);  ///< population variance
 double stdev(std::span<const double> xs);
 double median(std::vector<double> xs);        ///< by value: needs to sort
+/// Linear-interpolation percentile of an ascending range, p in [0, 100]:
+/// 0 when empty, the sample itself when there is one.
+double percentile(std::span<const double> sorted, double p);
 double geomean(std::span<const double> xs);   ///< requires all xs > 0
 double min_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);

@@ -6,16 +6,22 @@
 #include <cmath>
 #include <map>
 
+#include "apps/cloverleaf.hpp"
+#include "apps/homme.hpp"
 #include "apps/motivating_example.hpp"
 #include "apps/scale_les.hpp"
+#include "apps/shallow_water.hpp"
 #include "apps/testsuite.hpp"
+#include "apps/weather_zoo.hpp"
 #include "fusion/transformer.hpp"
 #include "graph/array_expansion.hpp"
 #include "graph/dependency_graph.hpp"
 #include "gpu/event_sim.hpp"
 #include "gpu/launch_tuner.hpp"
 #include "gpu/weak_scaling.hpp"
+#include "ir/program_io.hpp"
 #include "search/population.hpp"
+#include "store/fingerprint.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -186,10 +192,29 @@ TEST(BudgetedExpansion, UnlimitedEqualsFull) {
 }
 
 TEST(BudgetedExpansion, ZeroBudgetIsIdentity) {
-  const Program p = scale_les_rk18(GridDims{64, 16, 4});
-  const ExpansionResult none = expand_arrays(p, 0.0);
-  EXPECT_EQ(none.arrays_added, 0);
-  EXPECT_EQ(none.program.num_arrays(), p.num_arrays());
+  // A zero budget is how PlanContext (and the server) spell "no expansion",
+  // so the result must be the input itself, down to its text and its
+  // store fingerprint: every builtin app and the serve-mixed Table V suite.
+  std::vector<Program> programs = {scale_les_rk18(), cloverleaf(), shallow_water(),
+                                   motivating_example(), scale_les(), homme(),
+                                   wrf(), asuca(), mitgcm(), cosmo()};
+  for (int kernels : {20, 30, 40, 50}) {
+    for (int sharing : {2, 4, 8}) {
+      TestSuiteConfig config;
+      config.kernels = kernels;
+      config.arrays = 2 * kernels;
+      config.sharing_set_size = sharing;
+      programs.push_back(make_testsuite_program(config));
+    }
+  }
+  for (const Program& p : programs) {
+    SCOPED_TRACE(p.name());
+    const ExpansionResult none = expand_arrays(p, 0.0);
+    EXPECT_EQ(none.arrays_added, 0);
+    EXPECT_EQ(none.program.num_arrays(), p.num_arrays());
+    EXPECT_EQ(to_text(none.program), to_text(p));
+    EXPECT_EQ(program_fingerprint(none.program), program_fingerprint(p));
+  }
 }
 
 TEST(BudgetedExpansion, BudgetRespectedAndMonotone) {

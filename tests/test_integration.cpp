@@ -15,73 +15,49 @@
 #include "model/simple_model.hpp"
 #include "search/greedy.hpp"
 #include "search/hgga.hpp"
+#include "serve/plan_context.hpp"
 #include "stencil/equivalence.hpp"
 
 namespace kf {
 namespace {
 
-struct Pipeline {
-  Program original;
-  ExpansionResult expansion;
-  DeviceSpec device;
-  TimingSimulator sim;
-  LegalityChecker checker;
-  ProposedModel model;
-  Objective objective;
-
-  Pipeline(Program p, DeviceSpec dev)
-      : original(std::move(p)),
-        expansion(expand_arrays(original)),
-        device(std::move(dev)),
-        sim(device),
-        checker(expansion.program, device),
-        model(device),
-        objective(checker, model, sim) {}
-
-  SearchResult search(std::uint64_t seed = 1, int pop = 30, int gens = 80) {
-    HggaConfig cfg;
-    cfg.population = pop;
-    cfg.max_generations = gens;
-    cfg.stall_generations = 30;
-    cfg.seed = seed;
-    return Hgga(objective, cfg).run();
-  }
-
-  double measured_time(const FusionPlan& plan) {
-    const FusedProgram fused = apply_fusion(checker, plan);
-    double total = 0;
-    for (const LaunchDescriptor& d : fused.launches) {
-      total += sim.run(expansion.program, d).time_s;
-    }
-    return total;
-  }
-};
+SearchResult search(const PlanContext& ctx, std::uint64_t seed = 1, int pop = 30,
+                    int gens = 80) {
+  HggaConfig cfg;
+  cfg.population = pop;
+  cfg.max_generations = gens;
+  cfg.stall_generations = 30;
+  cfg.seed = seed;
+  return Hgga(ctx.objective, cfg).run();
+}
 
 TEST(Integration, EndToEndOnRk18ProducesRealSpeedup) {
-  Pipeline pipe(scale_les_rk18(GridDims{128, 32, 8}), DeviceSpec::k20x());
-  const SearchResult result = pipe.search();
+  const Program program = scale_les_rk18(GridDims{128, 32, 8});
+  const PlanContext ctx(program, DeviceSpec::k20x());
+  const SearchResult result = search(ctx);
   EXPECT_LT(result.best_cost_s, result.baseline_cost_s);
 
   // "Measured" (simulated) speedup of the fused program.
-  const double before = pipe.sim.program_time(pipe.expansion.program);
-  const double after = pipe.measured_time(result.best);
+  const double before = ctx.simulator.program_time(ctx.expansion.program);
+  const double after = ctx.simulated_time(result.best);
   EXPECT_LT(after, before);
 
   // Functional correctness of the chosen plan.
-  const FusedProgram fused = apply_fusion(pipe.checker, result.best);
-  const EquivalenceReport report = verify_fusion(pipe.original, fused, &pipe.expansion);
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
+  const EquivalenceReport report = verify_fusion(program, fused, &ctx.expansion);
   EXPECT_TRUE(report.equivalent) << "max diff " << report.max_abs_diff;
 }
 
 TEST(Integration, EndToEndOnCloverleaf) {
-  Pipeline pipe(cloverleaf(GridDims{128, 128, 1}), DeviceSpec::k20x());
-  const SearchResult result = pipe.search(3);
-  EXPECT_TRUE(pipe.checker.plan_is_legal(result.best));
-  const FusedProgram fused = apply_fusion(pipe.checker, result.best);
-  const EquivalenceReport report = verify_fusion(pipe.original, fused, &pipe.expansion);
+  const Program program = cloverleaf(GridDims{128, 128, 1});
+  const PlanContext ctx(program, DeviceSpec::k20x());
+  const SearchResult result = search(ctx, 3);
+  EXPECT_TRUE(ctx.checker.plan_is_legal(result.best));
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
+  const EquivalenceReport report = verify_fusion(program, fused, &ctx.expansion);
   EXPECT_TRUE(report.equivalent) << "max diff " << report.max_abs_diff;
-  const double before = pipe.sim.program_time(pipe.expansion.program);
-  const double after = pipe.measured_time(result.best);
+  const double before = ctx.simulator.program_time(ctx.expansion.program);
+  const double after = ctx.simulated_time(result.best);
   EXPECT_LT(after, before * 1.0 + 1e-12);
 }
 
@@ -94,11 +70,11 @@ TEST(Integration, SearchImprovementCarriesToMeasurement) {
   cfg.arrays = 40;
   cfg.seed = 17;
   cfg.grid = GridDims{256, 128, 16};
-  Pipeline pipe(make_testsuite_program(cfg), DeviceSpec::k20x());
-  const SearchResult result = pipe.search(17);
+  const PlanContext ctx(make_testsuite_program(cfg), DeviceSpec::k20x());
+  const SearchResult result = search(ctx, 17);
   ASSERT_LT(result.best_cost_s, result.baseline_cost_s);
-  const double before = pipe.sim.program_time(pipe.expansion.program);
-  const double after = pipe.measured_time(result.best);
+  const double before = ctx.simulator.program_time(ctx.expansion.program);
+  const double after = ctx.simulated_time(result.best);
   EXPECT_LT(after, before);
 }
 
@@ -146,10 +122,10 @@ TEST(Integration, GreedyVersusHggaOnStructuredProblem) {
   cfg.arrays = 48;
   cfg.seed = 23;
   cfg.grid = GridDims{256, 128, 16};
-  Pipeline pipe_ga(make_testsuite_program(cfg), DeviceSpec::k20x());
-  Pipeline pipe_gr(make_testsuite_program(cfg), DeviceSpec::k20x());
-  const SearchResult ga = pipe_ga.search(29, 40, 120);
-  const SearchResult gr = greedy_search(pipe_gr.objective);
+  const PlanContext ctx_ga(make_testsuite_program(cfg), DeviceSpec::k20x());
+  const PlanContext ctx_gr(make_testsuite_program(cfg), DeviceSpec::k20x());
+  const SearchResult ga = search(ctx_ga, 29, 40, 120);
+  const SearchResult gr = greedy_search(ctx_gr.objective);
   // The GA must never lose to greedy by more than noise.
   EXPECT_LE(ga.best_cost_s, gr.best_cost_s * 1.02);
 }
@@ -158,14 +134,14 @@ TEST(Integration, ReducibleTrafficBoundsRealizedSaving) {
   // The Table-I-style bound is an upper bound on what any legal plan saves.
   const Program p = scale_les_rk18(GridDims{128, 32, 8});
   const ReducibleTrafficReport bound = reducible_traffic(p);
-  Pipeline pipe(p, DeviceSpec::k20x());
-  const SearchResult result = pipe.search(31);
-  const FusedProgram fused = apply_fusion(pipe.checker, result.best);
+  const PlanContext ctx(p, DeviceSpec::k20x());
+  const SearchResult result = search(ctx, 31);
+  const FusedProgram fused = apply_fusion(ctx.checker, result.best);
   double fused_bytes = 0;
   for (const LaunchDescriptor& d : fused.launches) {
-    fused_bytes += compute_traffic(pipe.expansion.program, d).gmem_total();
+    fused_bytes += compute_traffic(ctx.expansion.program, d).gmem_total();
   }
-  const double original_bytes = program_traffic(pipe.expansion.program).gmem_total();
+  const double original_bytes = program_traffic(ctx.expansion.program).gmem_total();
   const double realised = 1.0 - fused_bytes / original_bytes;
   EXPECT_LE(realised, bound.reducible_fraction + 0.02);
 }
@@ -179,11 +155,11 @@ TEST(Integration, LargerSmemEnablesMoreFusion) {
   cfg.thread_load = 8;
   cfg.seed = 37;
   cfg.grid = GridDims{256, 128, 16};
-  Pipeline small(make_testsuite_program(cfg), DeviceSpec::k20x());
-  Pipeline big(make_testsuite_program(cfg),
-               DeviceSpec::k20x().with_smem_capacity(128 * 1024));
-  const double cost_small = small.search(41, 30, 80).best_cost_s;
-  const double cost_big = big.search(41, 30, 80).best_cost_s;
+  const PlanContext small(make_testsuite_program(cfg), DeviceSpec::k20x());
+  const PlanContext big(make_testsuite_program(cfg),
+                        DeviceSpec::k20x().with_smem_capacity(128 * 1024));
+  const double cost_small = search(small, 41, 30, 80).best_cost_s;
+  const double cost_big = search(big, 41, 30, 80).best_cost_s;
   EXPECT_LE(cost_big, cost_small * 1.01);
 }
 

@@ -9,6 +9,7 @@
 #include "model/proposed_model.hpp"
 #include "model/roofline_model.hpp"
 #include "model/simple_model.hpp"
+#include "util/error.hpp"
 
 namespace kf {
 namespace {
@@ -153,6 +154,17 @@ TEST_F(ModelsTest, ModelsExposeNames) {
   EXPECT_EQ(RooflineModel(device_).name(), "roofline");
   EXPECT_EQ(SimpleModel(program_, sim_).name(), "simple");
   EXPECT_EQ(ProposedModel(device_).name(), "proposed");
+}
+
+TEST_F(ModelsTest, FactoryMapsObjectiveNames) {
+  const std::pair<const char*, const char*> names[] = {{"proposed", "proposed"},
+                                                       {"literal", "proposed-literal"},
+                                                       {"roofline", "roofline"},
+                                                       {"simple", "simple"}};
+  for (const auto& [objective, model] : names) {
+    EXPECT_EQ(make_projection_model(objective, program_, sim_)->name(), model);
+  }
+  EXPECT_THROW(make_projection_model("bogus", program_, sim_), PreconditionError);
 }
 
 }  // namespace

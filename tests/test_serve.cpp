@@ -369,7 +369,7 @@ TEST(PlanServer, InvalidStoredPlanIsEvictedNeverServed) {
   PlanStore store(store_config(dir));
   FakeTime time;
   PlanServerConfig cfg = server_config(time);
-  cfg.expand = false;  // keys computed on the raw program below must match
+  cfg.mem_budget = 0.0;  // keys computed on the raw program below must match
   PlanServer server(store, cfg);
   const Program program = motivating_example();
   ASSERT_NE(program.num_kernels(), 2);

@@ -71,6 +71,8 @@ struct Options {
   std::uint64_t seed = 0x5eed;
   bool expand = true;
   double mem_budget = -1.0;
+  /// PlanContext's expansion budget: --no-expand wins over --mem-budget.
+  double expansion_budget() const { return expand ? mem_budget : 0.0; }
   std::string plan_text;
   std::string trace_file;
 
@@ -485,10 +487,9 @@ int cmd_graphs(const Options& opt) {
 
 struct SearchOutcome {
   SearchResult result;
-  ExpansionResult expansion;
+  std::unique_ptr<PlanContext> ctx;  ///< the stack the search ran on
   FusedProgram fused;
   Objective::CacheStats cache;  ///< evaluation-engine counters at run end
-  bool expanded = false;
 
   // Observability sinks, attached only when a flag or command asks for
   // them (null otherwise); they outlive run_search so `kfc profile` /
@@ -545,7 +546,7 @@ void write_metrics_file(const Options& opt, const SearchOutcome& out,
   JsonValue root = JsonValue::object();
   root.set("schema", "kfc-metrics/v3");
   JsonValue run = JsonValue::object();
-  run.set("program", out.expansion.program.name());
+  run.set("program", out.ctx->expansion.program.name());
   run.set("method", opt.method);
   run.set("objective", opt.objective);
   run.set("device", opt.device);
@@ -582,37 +583,19 @@ void write_metrics_file(const Options& opt, const SearchOutcome& out,
 }
 
 SearchOutcome run_search(const Options& opt, const Program& program) {
-  const ExpansionResult expansion =
-      opt.expand ? expand_arrays(program, opt.mem_budget)
-                 : ExpansionResult{.program = program,
-                                   .arrays_added = 0,
-                                   .extra_bytes = 0.0,
-                                   .versions = {}};
-  const DeviceSpec device = load_device(opt.device);
-  const TimingSimulator sim(device);
-  const LegalityChecker checker(expansion.program, device);
-
-  std::unique_ptr<ProjectionModel> model;
-  if (opt.objective == "proposed") {
-    model = std::make_unique<ProposedModel>(device);
-  } else if (opt.objective == "literal") {
-    model = std::make_unique<ProposedModel>(
-        device, ProposedModel::Params{
-                    .formulation = ProposedModel::Formulation::PaperLiteral});
-  } else if (opt.objective == "roofline") {
-    model = std::make_unique<RooflineModel>(device);
-  } else if (opt.objective == "simple") {
-    model = std::make_unique<SimpleModel>(expansion.program, sim);
-  } else {
-    usage("unknown objective '" + opt.objective + "'");
-  }
-  Objective objective(checker, *model, sim);
+  SearchOutcome out;
+  out.ctx = std::make_unique<PlanContext>(program, load_device(opt.device),
+                                          opt.expansion_budget(), opt.objective);
+  const Program& expanded = out.ctx->expansion.program;
+  const DeviceSpec& device = out.ctx->device;
+  const TimingSimulator& sim = out.ctx->simulator;
+  const LegalityChecker& checker = out.ctx->checker;
+  Objective& objective = out.ctx->objective;
 
   // Telemetry sinks: only attached when a flag or command asks for them,
   // so the default run keeps the one-branch disabled path everywhere.
   MetricsRegistry metrics;
   std::optional<TraceLog> trace_log;
-  SearchOutcome out;
   Telemetry telemetry;
   if (!opt.metrics_file.empty() || !opt.prom_file.empty())
     telemetry.metrics = &metrics;
@@ -646,7 +629,7 @@ SearchOutcome run_search(const Options& opt, const Program& program) {
 
   SearchResult result;
   if (!opt.plan_text.empty()) {
-    result.best = FusionPlan::parse(expansion.program.num_kernels(), opt.plan_text);
+    result.best = FusionPlan::parse(expanded.num_kernels(), opt.plan_text);
     KF_REQUIRE(checker.plan_is_legal(result.best), "supplied plan is illegal");
     result.best_cost_s = objective.plan_cost(result.best);
     result.baseline_cost_s = objective.baseline_cost();
@@ -673,9 +656,7 @@ SearchOutcome run_search(const Options& opt, const Program& program) {
 
   out.result = std::move(result);
   out.fused = apply_fusion(checker, out.result.best);
-  out.expansion = std::move(expansion);
   out.cache = objective.cache_stats();
-  out.expanded = opt.expand;
 
   // Report.
   std::cerr << "search (" << opt.method << "/" << opt.objective << " on "
@@ -692,11 +673,8 @@ SearchOutcome run_search(const Options& opt, const Program& program) {
             << out.result.best.num_groups() << " launches ("
             << out.result.best.fused_group_count() << " fused)\n";
   try {
-    const double before = sim.program_time(out.expansion.program);
-    double after = 0;
-    for (const LaunchDescriptor& d : out.fused.launches) {
-      after += sim.run(out.expansion.program, d).time_s;
-    }
+    const double before = sim.program_time(expanded);
+    const double after = out.ctx->simulated_time(out.result.best);
     std::cerr << "projected " << fixed(out.result.projected_speedup(), 2)
               << "x, simulated " << human_time(before) << " -> " << human_time(after)
               << " (" << fixed(before / after, 2) << "x)\n";
@@ -708,7 +686,7 @@ SearchOutcome run_search(const Options& opt, const Program& program) {
   }
   if (!opt.trace_file.empty()) {
     const EventSimulator events(device);
-    const EventTrace trace = events.run_sequence(out.expansion.program, out.fused.launches);
+    const EventTrace trace = events.run_sequence(expanded, out.fused.launches);
     std::ofstream trace_out(opt.trace_file);
     KF_REQUIRE(static_cast<bool>(trace_out), "cannot open trace file");
     trace_out << trace.to_chrome_trace_json();
@@ -719,8 +697,7 @@ SearchOutcome run_search(const Options& opt, const Program& program) {
   if (out.spans != nullptr) {
     // Attribute the final plan's simulated time as virtual spans so the
     // span export and `kfc profile` carry the model view too.
-    out.model = emit_model_spans(*out.spans, sim, out.expansion.program,
-                                 out.fused.launches);
+    out.model = emit_model_spans(*out.spans, sim, expanded, out.fused.launches);
     if (!opt.spans_file.empty()) {
       ChromeTraceWriter writer;
       out.spans->append_chrome_trace(writer);
@@ -737,7 +714,7 @@ SearchOutcome run_search(const Options& opt, const Program& program) {
     }
   }
   if (want_telemetry) {
-    emit_group_breakdowns(telemetry, sim, out.expansion.program, out.fused);
+    emit_group_breakdowns(telemetry, sim, expanded, out.fused);
     if (telemetry.wants_trace() && out.decisions != nullptr) {
       // Persist the provenance ring alongside the event stream so `kfc
       // report` (and any JSONL consumer) sees the decisions.
@@ -857,7 +834,7 @@ int cmd_explain(const Options& opt) {
 
   const FusionPlan& best = out.result.best;
   const int g = best.group_of(k);
-  std::cout << "kernel " << k << " '" << out.expansion.program.kernel(k).name
+  std::cout << "kernel " << k << " '" << out.ctx->expansion.program.kernel(k).name
             << "' final group: {";
   std::span<const KernelId> members = best.group(g);
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -913,11 +890,11 @@ int cmd_fuse(const Options& opt) {
     return 1;
   }
   const SearchOutcome out = run_search(opt, program);
-  const EquivalenceReport report = verify_fusion(
-      program, out.fused, out.expanded ? &out.expansion : nullptr, 1e-9);
+  const EquivalenceReport report =
+      verify_fusion(program, out.fused, &out.ctx->expansion, 1e-9);
   std::cerr << "functional equivalence: " << (report.equivalent ? "PASS" : "FAIL")
             << " (max |diff| " << report.max_abs_diff << ")\n";
-  const CudaEmitter emitter(out.expansion.program);
+  const CudaEmitter emitter(out.ctx->expansion.program);
   std::cout << emitter.emit_program(out.fused);
   return report.equivalent ? 0 : 1;
 }
@@ -988,22 +965,14 @@ struct BatchRequest {
 /// The tool's own validation stack for one (program, device) pair —
 /// deliberately rebuilt from scratch, independent of the server's internal
 /// context, so "the served plan is legal" is checked by code the server
-/// did not touch.
+/// did not touch. Keeps the raw program the server is asked about.
 struct ValidationStack {
   Program program;
-  ExpansionResult expansion;
-  DeviceSpec device;
-  LegalityChecker checker;
+  PlanContext ctx;
 
-  ValidationStack(Program p, const Options& opt, DeviceSpec dev)
+  ValidationStack(Program p, const Options& opt, DeviceSpec device)
       : program(std::move(p)),
-        expansion(opt.expand ? expand_arrays(program, opt.mem_budget)
-                             : ExpansionResult{.program = program,
-                                               .arrays_added = 0,
-                                               .extra_bytes = 0.0,
-                                               .versions = {}}),
-        device(std::move(dev)),
-        checker(expansion.program, device) {}
+        ctx(program, std::move(device), opt.expansion_budget()) {}
 };
 
 /// `kfc serve-batch FILE.jsonl --store DIR`: replay a request stream
@@ -1096,8 +1065,7 @@ int cmd_serve_batch(const Options& opt) {
   cfg.hgga.stall_generations = opt.stall;
   cfg.hgga.seed = opt.seed;
   if (opt.max_evals > 0) cfg.default_max_evaluations = opt.max_evals;
-  cfg.expand = opt.expand;
-  cfg.mem_budget = opt.mem_budget;
+  cfg.mem_budget = opt.expansion_budget();
   cfg.telemetry = &telemetry;
   PlanServer server(store, cfg);
 
@@ -1167,7 +1135,7 @@ int cmd_serve_batch(const Options& opt) {
 
   auto record = [&](const ValidationStack& stack, const ServeResult& r) {
     ++total;
-    if (stack.checker.plan_is_legal(r.plan)) ++legal;
+    if (stack.ctx.checker.plan_is_legal(r.plan)) ++legal;
     RungAgg& agg = rung_agg[static_cast<int>(r.rung)];
     agg.latencies_s.push_back(r.latency_s);
     if (r.deadline_s > 0.0) {
@@ -1189,7 +1157,7 @@ int cmd_serve_batch(const Options& opt) {
     // Serial replay: requests hit the server in file order, one at a time —
     // the deterministic reference the worker path is measured against.
     for (const Item& item : items)
-      record(*item.stack, server.serve(item.stack->program, item.stack->device,
+      record(*item.stack, server.serve(item.stack->program, item.stack->ctx.device,
                                        item.req));
   } else {
     // Worker-pool replay. Backpressure, not shedding (shed_on_full=false):
@@ -1238,7 +1206,7 @@ int cmd_serve_batch(const Options& opt) {
     futures.reserve(items.size());
     for (const Item& item : items)
       futures.push_back(
-          engine.submit(item.stack->program, item.stack->device, item.req));
+          engine.submit(item.stack->program, item.stack->ctx.device, item.req));
     for (std::size_t i = 0; i < futures.size(); ++i)
       record(*items[i].stack, futures[i].get());
     engine.drain();
@@ -1275,19 +1243,10 @@ int cmd_serve_batch(const Options& opt) {
   // (serve.latency_seconds), not a side vector — one source of truth.
   const MetricsRegistry::HistogramSnapshot lat =
       metrics.histogram("serve.latency_seconds");
-  // Per-rung percentiles still need the exact per-request samples.
-  auto pct = [](std::vector<double>& sorted, double p) {
-    if (sorted.empty()) return 0.0;
-    const double rank =
-        (p / 100.0) * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    return sorted[lo] + (rank - static_cast<double>(lo)) *
-                            (sorted[hi] - sorted[lo]);
-  };
 
   std::cout << "serve-batch: " << total << " requests (" << opt.input_file
             << " -> " << opt.store_dir << ")\n";
+  // Per-rung percentiles still need the exact per-request samples.
   TextTable rungs({"rung", "requests", "share", "p50", "p95", "p99", "misses",
                    "min headroom"});
   for (int r = 0; r < kNumServeRungs; ++r) {
@@ -1298,9 +1257,9 @@ int cmd_serve_batch(const Options& opt) {
     rungs.add(to_string(static_cast<ServeRung>(r)), n,
               fixed(100.0 * static_cast<double>(n) / static_cast<double>(total),
                     1),
-              any ? human_time(pct(agg.latencies_s, 50)) : "-",
-              any ? human_time(pct(agg.latencies_s, 95)) : "-",
-              any ? human_time(pct(agg.latencies_s, 99)) : "-",
+              any ? human_time(percentile(agg.latencies_s, 50)) : "-",
+              any ? human_time(percentile(agg.latencies_s, 95)) : "-",
+              any ? human_time(percentile(agg.latencies_s, 99)) : "-",
               agg.deadline_misses,
               any ? fixed(100.0 * agg.min_headroom, 1) + "%" : "-");
   }
