@@ -181,21 +181,6 @@ void FusionPlan::move_kernel(KernelId k, int g) {
   rebuild_owners();
 }
 
-int FusionPlan::isolate_kernel(KernelId k) {
-  const int from = group_of(k);
-  const auto ifrom = static_cast<std::size_t>(from);
-  if (begin_[ifrom + 1] - begin_[ifrom] == 1) return from;
-  const auto p = static_cast<std::ptrdiff_t>(
-      std::find(members_.begin() + begin_[ifrom], members_.begin() + begin_[ifrom + 1], k) -
-      members_.begin());
-  // Slide k to the very end; it becomes a fresh singleton group.
-  std::rotate(members_.begin() + p, members_.begin() + p + 1, members_.end());
-  for (std::size_t i = ifrom + 1; i < begin_.size(); ++i) begin_[i] -= 1;
-  begin_.push_back(static_cast<std::int32_t>(num_kernels_));
-  rebuild_owners();
-  return num_groups() - 1;
-}
-
 void FusionPlan::split_group(int g) {
   check_group_index(g);
   const auto ig = static_cast<std::size_t>(g);

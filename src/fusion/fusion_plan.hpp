@@ -72,9 +72,6 @@ class FusionPlan {
   /// empty groups are erased).
   void move_kernel(KernelId k, int g);
 
-  /// Extracts kernel k into a fresh singleton group; returns its index.
-  int isolate_kernel(KernelId k);
-
   /// Splits group g back into singletons.
   void split_group(int g);
 

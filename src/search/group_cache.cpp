@@ -42,28 +42,13 @@ bool GroupCostCache::insert(std::uint64_t key, const Entry& entry) {
     contention_.fetch_add(1, std::memory_order_relaxed);
     shard.mutex.lock();
   }
-  std::lock_guard<std::shared_mutex> lock(shard.mutex, std::adopt_lock);
-  return shard.map.emplace(key, entry).second;
-}
-
-std::size_t GroupCostCache::size() const {
-  std::size_t total = 0;
-  for (int s = 0; s < shard_count_; ++s) {
-    std::shared_lock<std::shared_mutex> lock(shards_[s].mutex);
-    total += shards_[s].map.size();
+  {
+    std::lock_guard<std::shared_mutex> lock(shard.mutex, std::adopt_lock);
+    if (!shard.map.emplace(key, entry).second) return false;
   }
-  return total;
-}
-
-long GroupCostCache::quarantined_count() const {
-  long total = 0;
-  for (int s = 0; s < shard_count_; ++s) {
-    std::shared_lock<std::shared_mutex> lock(shards_[s].mutex);
-    for (const auto& [key, entry] : shards_[s].map) {
-      if (entry.quarantined) ++total;
-    }
-  }
-  return total;
+  entries_.fetch_add(1, std::memory_order_relaxed);
+  if (entry.quarantined) quarantined_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 std::vector<std::uint64_t> GroupCostCache::quarantined_keys() const {

@@ -58,7 +58,13 @@ class GroupCostCache {
   /// existing entry wins — see the immutability note above).
   bool insert(std::uint64_t key, const Entry& entry);
 
-  std::size_t size() const;
+  /// Entries and quarantined entries, counted at insert: O(1), no lock.
+  std::size_t size() const noexcept {
+    return entries_.load(std::memory_order_relaxed);
+  }
+  long quarantined_count() const noexcept {
+    return quarantined_.load(std::memory_order_relaxed);
+  }
   int shards() const noexcept { return shard_count_; }
 
   /// Lock acquisitions that found the shard already held and had to wait —
@@ -67,7 +73,6 @@ class GroupCostCache {
     return contention_.load(std::memory_order_relaxed);
   }
 
-  long quarantined_count() const;
   /// Fingerprints of quarantined entries, sorted.
   std::vector<std::uint64_t> quarantined_keys() const;
 
@@ -82,6 +87,8 @@ class GroupCostCache {
   std::uint64_t mask_ = 0;
   std::unique_ptr<Shard[]> shards_;
   mutable std::atomic<long> contention_{0};
+  std::atomic<std::size_t> entries_{0};
+  std::atomic<long> quarantined_{0};
 
   Shard& shard_of(std::uint64_t key) const noexcept {
     return shards_[static_cast<std::size_t>(key & mask_)];

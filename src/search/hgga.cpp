@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 #include <set>
-#include <sstream>
 
 #include "search/checkpoint.hpp"
 #include "search/driver.hpp"
@@ -78,20 +77,6 @@ void note_generation(const Telemetry& t, int gen, const GenerationStats& s,
 }
 
 }  // namespace
-
-std::string SearchResult::trace_csv() const {
-  std::ostringstream os;
-  os << "generation,best_cost_s,mean_cost_s,worst_cost_s,distinct_plans,"
-        "mean_groups,crossovers,crossover_improved,mutations\n";
-  for (std::size_t g = 0; g < trace.size(); ++g) {
-    const GenerationStats& s = trace[g];
-    os << g << ',' << s.best_cost_s << ',' << s.mean_cost_s << ','
-       << s.worst_cost_s << ',' << s.distinct_plans << ',' << s.mean_groups
-       << ',' << s.crossovers << ',' << s.crossover_improved << ','
-       << s.mutations << '\n';
-  }
-  return os.str();
-}
 
 int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
                  const Telemetry* telemetry, SearchControl* control) {

@@ -103,9 +103,6 @@ struct SearchResult {
   std::vector<GenerationStats> trace;  ///< per-generation population stats
   FaultReport fault_report;        ///< faults seen + why the run stopped
 
-  /// CSV of the convergence trace (generation, best, mean, diversity, groups).
-  std::string trace_csv() const;
-
   double projected_speedup() const noexcept {
     return best_cost_s > 0.0 ? baseline_cost_s / best_cost_s : 0.0;
   }

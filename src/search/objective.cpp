@@ -129,15 +129,11 @@ Objective::GroupCost Objective::force_group_cost(std::uint64_t fingerprint,
     cost = guarded();
   }
 
-  // Quarantined entries are published even with the cache disabled — the
-  // quarantine contract ("never re-evaluated") must hold either way. A lost
-  // insert race means a concurrent thread computed the same fingerprint;
-  // the values are identical (evaluation is pure), so the duplicate is an
-  // audit statistic, not an error.
-  if (options_.enable_cache || quarantined) {
-    if (!cache_.insert(fingerprint, GroupCostCache::Entry{cost, quarantined})) {
-      duplicate_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // A lost insert race means a concurrent thread computed the same
+  // fingerprint; the values are identical (evaluation is pure), so the
+  // duplicate is an audit statistic, not an error.
+  if (!cache_.insert(fingerprint, GroupCostCache::Entry{cost, quarantined})) {
+    duplicate_misses_.fetch_add(1, std::memory_order_relaxed);
   }
   maybe_sample_projection(group, cost);
   return cost;

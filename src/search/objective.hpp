@@ -53,7 +53,6 @@ class Objective {
   static constexpr double kUnprofitablePenalty = 1.05;
 
   struct Options {
-    bool enable_cache = true;
     /// Fault isolation: when a model/simulator evaluation throws, charge the
     /// group the unprofitable penalty on its original sum and quarantine its
     /// fingerprint instead of letting the exception abort the search. Turn

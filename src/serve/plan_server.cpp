@@ -155,9 +155,8 @@ double PlanServer::begin(const PlanContext& ctx, const ServeRequest& request,
   result.num_kernels = ctx.expansion.program.num_kernels();
   result.baseline_cost_s = ctx.objective.baseline_cost();
   result.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  result.trace_id =
-      TraceId::derive(static_cast<std::uint64_t>(result.seq), ctx.key.program_fp,
-                      ctx.key.device_fp, config_.trace_salt);
+  result.trace_id = TraceId::derive(static_cast<std::uint64_t>(result.seq),
+                                    ctx.key.program_fp, ctx.key.device_fp);
   return request.enqueue_s >= 0.0 ? std::min(request.enqueue_s, dequeue_s)
                                   : dequeue_s;
 }

@@ -130,10 +130,6 @@ struct PlanServerConfig {
   /// Observability (nullable, must outlive the server).
   const Telemetry* telemetry = nullptr;
 
-  /// Extra entropy folded into derived trace ids so two servers replaying
-  /// the same batch can be told apart; 0 keeps traces replay-stable.
-  std::uint64_t trace_salt = 0;
-
   /// Monotone clock / sleep in seconds; defaults are real time. Tests
   /// inject fakes to drive admission, deadlines and backoff deterministically.
   std::function<double()> clock;

@@ -108,16 +108,17 @@ TraceId TraceId::from_hex(std::string_view hex) noexcept {
 }
 
 TraceId TraceId::derive(std::uint64_t seq, std::uint64_t program_fp,
-                        std::uint64_t device_fp, std::uint64_t salt) noexcept {
+                        std::uint64_t device_fp) noexcept {
   // Two independent splitmix chains over the same inputs with distinct
   // domain constants: collisions between requests require a 128-bit
-  // coincidence, and the same (seq, fingerprints, salt) always reproduces
-  // the same id so replayed batches line up with archived traces.
+  // coincidence, and the same (seq, fingerprints) always reproduces the
+  // same id so replayed batches line up with archived traces. Archived ids
+  // fold splitmix64(0) into the lo chain, so it stays.
   TraceId id;
   id.hi = splitmix64(splitmix64(seq ^ 0x7265717565737431ULL) ^
-                     splitmix64(program_fp) ^ salt);
+                     splitmix64(program_fp));
   id.lo = splitmix64(splitmix64(device_fp ^ 0x74726163655f6964ULL) ^
-                     splitmix64(seq + 0x632a9d6e) ^ splitmix64(salt));
+                     splitmix64(seq + 0x632a9d6e) ^ splitmix64(0));
   if (!id.valid()) id.lo = 1;  // never emit the "no trace" sentinel
   return id;
 }

@@ -76,8 +76,7 @@ struct TraceId {
   /// Deterministic derivation (splitmix64 mixing) from a request ordinal
   /// and the (program, device) fingerprints. Never returns the null id.
   static TraceId derive(std::uint64_t seq, std::uint64_t program_fp,
-                        std::uint64_t device_fp,
-                        std::uint64_t salt = 0) noexcept;
+                        std::uint64_t device_fp) noexcept;
 
   friend bool operator==(const TraceId& a, const TraceId& b) noexcept {
     return a.hi == b.hi && a.lo == b.lo;

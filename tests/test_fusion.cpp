@@ -51,13 +51,6 @@ TEST(FusionPlan, MergeMoveSplitKeepPartition) {
   EXPECT_EQ(plan.fused_group_count(), 0);
 }
 
-TEST(FusionPlan, IsolateKernel) {
-  FusionPlan plan = FusionPlan::from_groups(4, {{0, 1, 2}, {3}});
-  plan.isolate_kernel(1);
-  EXPECT_EQ(plan.num_groups(), 3);
-  EXPECT_EQ(plan.group(plan.group_of(1)).size(), 1u);
-}
-
 TEST(FusionPlan, FingerprintOrderInsensitive) {
   FusionPlan a = FusionPlan::from_groups(4, {{0, 1}, {2, 3}});
   FusionPlan b = FusionPlan::from_groups(4, {{3, 2}, {1, 0}});

@@ -591,11 +591,11 @@ TEST(TraceId, DeriveIsDeterministicNonNullAndInputSensitive) {
   const TraceId a = TraceId::derive(1, 0xdeadbeefULL, 0xfeedfaceULL);
   const TraceId b = TraceId::derive(1, 0xdeadbeefULL, 0xfeedfaceULL);
   const TraceId c = TraceId::derive(2, 0xdeadbeefULL, 0xfeedfaceULL);
-  const TraceId d = TraceId::derive(1, 0xdeadbeefULL, 0xfeedfaceULL, 7);
   EXPECT_TRUE(a.valid());
   EXPECT_EQ(a, b);  // replayed batches reproduce identical trace ids
   EXPECT_NE(a, c);
-  EXPECT_NE(a, d);
+  // Pinned: replays stay joinable with traces archived by earlier builds.
+  EXPECT_EQ(a.to_hex(), "acc5c5541a91583a0d63175e0a88ba90");
   // derive() never returns the null id, even for all-zero inputs.
   for (std::uint64_t seq = 0; seq < 64; ++seq) {
     EXPECT_TRUE(TraceId::derive(seq, 0, 0).valid());

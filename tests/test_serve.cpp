@@ -726,26 +726,22 @@ TEST(ServeObservability, TraceIdsAreReplayStableAndStageLedgerIsBounded) {
   const Program program = motivating_example();
   const DeviceSpec device = DeviceSpec::k20x();
 
-  const auto run_stream = [&](const std::string& dir, std::uint64_t salt) {
+  const auto run_stream = [&](const std::string& dir) {
     PlanStore store(store_config(dir));
     FakeTime time;
-    PlanServerConfig cfg = server_config(time);
-    cfg.trace_salt = salt;
-    PlanServer server(store, cfg);
+    PlanServer server(store, server_config(time));
     std::vector<ServeResult> out;
     for (int i = 0; i < 3; ++i) out.push_back(server.serve(program, device));
     return out;
   };
 
-  const std::vector<ServeResult> first = run_stream(fresh_dir("replay_a"), 0);
-  const std::vector<ServeResult> second = run_stream(fresh_dir("replay_b"), 0);
-  const std::vector<ServeResult> salted = run_stream(fresh_dir("replay_c"), 99);
+  const std::vector<ServeResult> first = run_stream(fresh_dir("replay_a"));
+  const std::vector<ServeResult> second = run_stream(fresh_dir("replay_b"));
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_TRUE(first[i].trace_id.valid());
-    // Same batch, same ordinal -> same trace id; a salt tells servers apart.
+    // Same batch, same ordinal -> same trace id.
     EXPECT_EQ(first[i].trace_id, second[i].trace_id) << "request " << i;
-    EXPECT_NE(first[i].trace_id, salted[i].trace_id) << "request " << i;
     // The stage ledger never claims more than the measured latency.
     double consumed = 0.0;
     for (double s : first[i].stage_s) {
