@@ -9,9 +9,19 @@
 // an estimated register demand, and the FLOP aggregate including halo
 // overhead. The estimate models nvcc's behaviour with a handful of
 // explicit parameters (FusionCostParams) rather than hidden constants.
+//
+// The search builds a descriptor for every distinct group it checks, so a
+// build is kept cheap: the program-wide facts it needs (which arrays any
+// kernel writes, each access's horizontal radius and thread load, the
+// resolved read-only-cache budget) are computed once in the constructor,
+// and a build's per-array bookkeeping lives in reused per-thread scratch.
+// The program must be valid (Program::validate: one access per kernel and
+// array) and must not change after the builder is constructed.
 #pragma once
 
+#include <atomic>
 #include <span>
+#include <vector>
 
 #include "gpu/launch_descriptor.hpp"
 #include "ir/program.hpp"
@@ -31,7 +41,7 @@ struct FusionCostParams {
   /// Read-only-cache budget per SMX for offloading program-wide read-only
   /// shared arrays (§II-C). Set to 0 to disable the optimisation; a
   /// negative value means "use the target device's capacity" (the
-  /// LegalityChecker fills it in).
+  /// LegalityChecker fills it in; a bare builder assumes a K20X).
   long rocache_bytes = -1;
 };
 
@@ -41,14 +51,44 @@ class FusedKernelBuilder {
 
   /// Builds the descriptor for one group (members need not be sorted;
   /// they are processed in invocation order). A singleton group returns
-  /// descriptor_for_original().
+  /// descriptor_for_original(). Thread-safe.
   LaunchDescriptor build(std::span<const KernelId> group) const;
 
   const FusionCostParams& params() const noexcept { return params_; }
 
+  /// Descriptors of groups with two or more members built so far (relaxed
+  /// count, for tests and audits of how often the search builds).
+  long fused_builds() const noexcept { return fused_builds_.load(std::memory_order_relaxed); }
+
  private:
+  /// One kernel's use of one array, reduced to what build() reads.
+  struct Access {
+    ArrayId array = kInvalidArray;
+    int radius = 0;       ///< horizontal stencil radius
+    int thread_load = 0;  ///< distinct horizontal offsets
+    bool read = false;
+    bool write = false;
+  };
+  /// Per-array facts that do not depend on the group.
+  struct ArrayFacts {
+    long elem_bytes = 0;
+    long rocache_tile_bytes = 0;  ///< read-only-cache footprint of one tile
+    bool rocache_eligible = false;  ///< flagged and written by no kernel
+  };
+
   const Program& program_;
   FusionCostParams params_;
+  long rocache_budget_ = 0;  ///< params_.rocache_bytes, resolved
+  std::vector<int> access_begin_;  ///< kernel k: accesses_[access_begin_[k], access_begin_[k+1])
+  std::vector<Access> accesses_;
+  std::vector<ArrayFacts> arrays_;
+  mutable std::atomic<long> fused_builds_{0};
+
+  std::span<const Access> accesses_of(KernelId k) const noexcept {
+    const auto b = static_cast<std::size_t>(access_begin_[static_cast<std::size_t>(k)]);
+    const auto e = static_cast<std::size_t>(access_begin_[static_cast<std::size_t>(k) + 1]);
+    return std::span<const Access>(accesses_.data() + b, e - b);
+  }
 };
 
 }  // namespace kf

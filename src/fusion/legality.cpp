@@ -42,7 +42,8 @@ LegalityChecker::LegalityChecker(const Program& program, DeviceSpec device,
                  return params;
                }()) {}
 
-LegalityVerdict LegalityChecker::check_group(std::span<const KernelId> group) const {
+LegalityVerdict LegalityChecker::check_group(std::span<const KernelId> group,
+                                             LaunchDescriptor* built) const {
   KF_REQUIRE(!group.empty(), "empty group");
   if (group.size() == 1) return LegalityVerdict::Ok;
 
@@ -58,7 +59,7 @@ LegalityVerdict LegalityChecker::check_group(std::span<const KernelId> group) co
   // (1.3) convexity under the precedence DAG.
   if (!exec_.group_is_convex(group)) return LegalityVerdict::NotConvex;
 
-  return resource_verdict(group);
+  return resource_verdict(group, built);
 }
 
 std::size_t LegalityChecker::MaskHash::operator()(
@@ -68,7 +69,8 @@ std::size_t LegalityChecker::MaskHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-LegalityVerdict LegalityChecker::resource_verdict(std::span<const KernelId> group) const {
+LegalityVerdict LegalityChecker::resource_verdict(std::span<const KernelId> group,
+                                                  LaunchDescriptor* built) const {
   // The key is the member mask itself: member order does not matter, and
   // the checks above already rejected repeated and out-of-range members.
   thread_local std::vector<std::uint64_t> key;
@@ -80,15 +82,18 @@ LegalityVerdict LegalityChecker::resource_verdict(std::span<const KernelId> grou
     if (hit != memo_.end()) return hit->second;
   }
   // (1.6)/(1.7): resource footprint of the would-be generated kernel.
-  const LaunchDescriptor d = builder_.build(group);
+  LaunchDescriptor d = builder_.build(group);
   LegalityVerdict verdict = LegalityVerdict::Ok;
   if (d.regs_per_thread > device_.max_regs_per_thread) {
     verdict = LegalityVerdict::RegOverflow;
   } else if (d.smem_per_block_bytes > device_.smem_per_smx) {
     verdict = LegalityVerdict::SmemOverflow;
   }
-  const std::unique_lock lock(memo_mutex_);
-  memo_.try_emplace(key, verdict);
+  {
+    const std::unique_lock lock(memo_mutex_);
+    memo_.try_emplace(key, verdict);
+  }
+  if (built != nullptr) *built = std::move(d);
   return verdict;
 }
 

@@ -21,7 +21,9 @@
 // verdict). The memo depends only on this checker's program and device, is
 // shared by every thread using the checker (readers take a shared lock,
 // inserts an exclusive one), and holds only groups that passed the cheap
-// checks.
+// checks. It keeps verdicts, not descriptors: a caller that prices the
+// group next takes the descriptor the miss built (check_group's `built`),
+// so a group checked and then priced is built once.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +68,11 @@ class LegalityChecker {
   const FusedKernelBuilder& builder() const noexcept { return builder_; }
 
   /// Full check of one group, cheapest constraint first. Thread-safe.
-  LegalityVerdict check_group(std::span<const KernelId> group) const;
+  /// When `built` is non-null and the resource memo misses, the descriptor
+  /// built for the (1.6)/(1.7) verdict is moved into *built; otherwise
+  /// *built is left as it was. Objective::group_cost takes it from there.
+  LegalityVerdict check_group(std::span<const KernelId> group,
+                              LaunchDescriptor* built = nullptr) const;
 
   bool group_is_legal(std::span<const KernelId> group) const {
     return check_group(group) == LegalityVerdict::Ok;
@@ -116,7 +122,8 @@ class LegalityChecker {
   FusedKernelBuilder builder_;
 
   /// (1.6)/(1.7) for a group that passed the cheap checks, through the memo.
-  LegalityVerdict resource_verdict(std::span<const KernelId> group) const;
+  LegalityVerdict resource_verdict(std::span<const KernelId> group,
+                                   LaunchDescriptor* built) const;
 
   /// The search behind merge/move_is_schedulable: true iff the edited
   /// quotient has a path from the target `into` back to itself. The edit

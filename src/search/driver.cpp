@@ -232,6 +232,11 @@ SearchResult SearchDriver::run() {
     SpanTracer::Scope dispatch_span = scoped_span(t, "driver.dispatch");
     result = dispatch(control);
     fill_fault_report(result, objective_, &control);
+  } catch (const CheckpointError&) {
+    // A checkpoint the method rejects on resume (an illegal restored plan)
+    // is bad input like the ones validate_checkpointing catches: abort,
+    // never degrade --resume into a salvaged identity plan.
+    throw;
   } catch (const std::runtime_error&) {
     SpanTracer::Scope recover_span = scoped_span(t, "driver.recover");
     result = recover(control);

@@ -57,6 +57,7 @@ SearchResult greedy_search(const Objective& objective, SearchControl* control,
 
   int merges = 0;
   std::vector<KernelId> merged;
+  LaunchDescriptor built;  // the union's descriptor, from check_group to group_cost
   // near[g] == 1: group g holds a sharing neighbour of the group last
   // marked. Groups are legal, hence connected, so two groups with no
   // sharing edge between them form a disconnected — illegal — union.
@@ -80,8 +81,11 @@ SearchResult greedy_search(const Objective& objective, SearchControl* control,
     merged.assign(plan.group(a).begin(), plan.group(a).end());
     merged.insert(merged.end(), plan.group(b).begin(), plan.group(b).end());
     std::sort(merged.begin(), merged.end());
-    if (!checker.group_is_legal(merged) || !checker.merge_is_schedulable(plan, a, b)) return;
-    const Objective::GroupCost union_cost = objective.group_cost(merged);
+    if (checker.check_group(merged, &built) != LegalityVerdict::Ok ||
+        !checker.merge_is_schedulable(plan, a, b)) {
+      return;
+    }
+    const Objective::GroupCost union_cost = objective.group_cost(merged, &built);
     if (!union_cost.profitable) {
       // Provenance: an unprofitable candidate is a rejected merge —
       // constraint (1.1) said no. Recorded once, when the pair is priced;

@@ -119,6 +119,10 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
   std::vector<KernelId> merged;
   std::vector<KernelId> target;
   std::vector<KernelId> rest;
+  // Descriptors check_group built for a merge or move target and for a
+  // move's rest, handed on to group_cost.
+  LaunchDescriptor built;
+  LaunchDescriptor rest_built;
   std::vector<KernelId> best_members;
   std::vector<int> priced_for;  // group -> last kernel whose move into it was priced
   std::vector<char> near;       // group -> holds a sharing neighbour of group a
@@ -160,9 +164,10 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
         merged.assign(plan.group(a).begin(), plan.group(a).end());
         merged.insert(merged.end(), plan.group(b).begin(), plan.group(b).end());
         std::sort(merged.begin(), merged.end());
-        if (!checker.group_is_legal(merged)) continue;
+        if (checker.check_group(merged, &built) != LegalityVerdict::Ok) continue;
         if (!checker.merge_is_schedulable(plan, a, b)) continue;
-        double total = prefix[static_cast<std::size_t>(a)] + objective.group_cost(merged).cost_s;
+        double total =
+            prefix[static_cast<std::size_t>(a)] + objective.group_cost(merged, &built).cost_s;
         for (int g = a + 1; g < ng; ++g) {
           if (g != b) total += c[static_cast<std::size_t>(g)];
         }
@@ -186,13 +191,14 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
         target.assign(plan.group(to).begin(), plan.group(to).end());
         target.push_back(k);
         std::sort(target.begin(), target.end());
-        if (!checker.group_is_legal(target)) continue;
+        if (checker.check_group(target, &built) != LegalityVerdict::Ok) continue;
         if (!rest_known) {
           rest.clear();
           for (KernelId m : plan.group(from)) {
             if (m != k) rest.push_back(m);
           }
-          split_rest = rest.size() >= 2 && !checker.group_is_legal(rest);
+          split_rest = rest.size() >= 2 &&
+                       checker.check_group(rest, &rest_built) != LegalityVerdict::Ok;
           rest_known = true;
         }
         if (!checker.move_is_schedulable(plan, k, to, split_rest)) {
@@ -210,9 +216,11 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
         double total = prefix[static_cast<std::size_t>(lo)];
         for (int g = lo; g < ng; ++g) {
           if (g == to) {
-            total += objective.group_cost(target).cost_s;
+            total += objective.group_cost(target, &built).cost_s;
           } else if (g == from) {
-            if (!rest.empty() && !split_rest) total += objective.group_cost(rest).cost_s;
+            if (!rest.empty() && !split_rest) {
+              total += objective.group_cost(rest, &rest_built).cost_s;
+            }
           } else {
             total += c[static_cast<std::size_t>(g)];
           }
@@ -390,8 +398,8 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
       const auto host = groups.group(g);
       s.candidate.assign(host.begin(), host.end());
       s.candidate.insert(std::lower_bound(s.candidate.begin(), s.candidate.end(), k), k);
-      if (!checker.group_is_legal(s.candidate)) continue;
-      const double delta = objective_.group_cost(s.candidate).cost_s -
+      if (checker.check_group(s.candidate, &s.built) != LegalityVerdict::Ok) continue;
+      const double delta = objective_.group_cost(s.candidate, &s.built).cost_s -
                            objective_.group_cost(host).cost_s;
       if (delta < best_delta) {
         best_delta = delta;
@@ -409,9 +417,11 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
   }
 
   child.plan.assign_flat(a.plan.num_kernels(), groups.members(), groups.offsets());
-  // Injected groups are individually legal, but their combination with the
-  // kept groups may be unschedulable; repair restores full legality.
-  repair_plan(checker, child.plan);
+  // Every group is legal by construction — a whole group of a legal parent,
+  // an injected group, a host that check_group accepted with its orphans,
+  // or a singleton — and legality is group-local. Only their combination
+  // may be unschedulable, so only the cycle-breaking pass runs.
+  break_cycles(checker, child.plan);
 }
 
 int Hgga::mutate(Individual& individual, Rng& rng,
@@ -553,6 +563,29 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     KF_CHECK(ckpt.seed == config_.seed,
              "checkpoint seed " << ckpt.seed << " differs from configured seed "
                                 << config_.seed);
+    // Crossover keeps its parents' groups without re-checking them and
+    // polish refuses an illegal plan, so every restored plan must be legal.
+    auto require_legal = [&](const FusionPlan& plan, const std::string& which) {
+      int group = -1;
+      const LegalityVerdict verdict = objective_.checker().check_plan(plan, &group);
+      if (verdict == LegalityVerdict::Ok) return;
+      std::string where;
+      if (group >= 0) {
+        where = " in group {";
+        for (KernelId k : plan.group(group)) {
+          if (where.back() != '{') where += ',';
+          where += std::to_string(k);
+        }
+        where += '}';
+      }
+      throw CheckpointError(strprintf("checkpoint '%s': %s is not a legal plan: %s%s",
+                                      checkpointing->file.c_str(), which.c_str(),
+                                      to_string(verdict), where.c_str()));
+    };
+    for (std::size_t i = 0; i < ckpt.population.size(); ++i) {
+      require_legal(ckpt.population[i], "individual " + std::to_string(i));
+    }
+    require_legal(ckpt.best, "the best plan");
     master.set_state(ckpt.rng_state);
     for (std::size_t i = 0; i < ckpt.population.size(); ++i) {
       Individual& slot = arena.next_offspring();

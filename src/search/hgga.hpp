@@ -164,6 +164,7 @@ class Hgga {
     std::vector<int> owner;         ///< kernel -> index in `groups` (-1: unplaced orphan)
     std::vector<int> hosts;         ///< groups holding a sharing neighbour of one orphan
     std::vector<KernelId> candidate;  ///< host-group trial for one orphan
+    LaunchDescriptor built;         ///< the trial's descriptor, from check_group to group_cost
     std::vector<KernelId> members;  ///< merge/move member scratch (mutate)
     std::vector<FusionPlan> batch;  ///< dirty offspring plans (evaluate)
   };

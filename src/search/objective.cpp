@@ -1,5 +1,7 @@
 #include "search/objective.hpp"
 
+#include <algorithm>
+
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -66,7 +68,8 @@ Objective::GroupCost Objective::quarantine_cost(std::span<const KernelId> group)
   return out;
 }
 
-Objective::GroupCost Objective::compute_group_cost(std::span<const KernelId> group) const {
+Objective::GroupCost Objective::compute_group_cost(std::span<const KernelId> group,
+                                                   const LaunchDescriptor* built) const {
   GroupCost out;
   if (group.size() == 1) {
     out.cost_s = original_time(group[0]);
@@ -77,8 +80,13 @@ Objective::GroupCost Objective::compute_group_cost(std::span<const KernelId> gro
   double original_sum = 0.0;
   for (KernelId k : group) original_sum += original_time(k);
 
-  const LaunchDescriptor d = checker_.builder().build(group);
-  const Projection projection = model_.project(checker_.program(), d);
+  LaunchDescriptor own;
+  if (built == nullptr || !std::equal(group.begin(), group.end(), built->members.begin(),
+                                      built->members.end())) {
+    own = checker_.builder().build(group);
+    built = &own;
+  }
+  const Projection projection = model_.project(checker_.program(), *built);
   if (!projection.feasible || projection.time_s >= original_sum) {
     out.cost_s = original_sum * kUnprofitablePenalty;
     out.profitable = false;
@@ -98,7 +106,8 @@ bool Objective::peek_group_cost(std::uint64_t fingerprint, GroupCost* out) const
 }
 
 Objective::GroupCost Objective::force_group_cost(std::uint64_t fingerprint,
-                                                 std::span<const KernelId> group) const {
+                                                 std::span<const KernelId> group,
+                                                 const LaunchDescriptor* built) const {
   misses_.fetch_add(1, std::memory_order_relaxed);
 
   // Fault isolation: a runtime failure inside the model/simulator costs the
@@ -107,7 +116,7 @@ Objective::GroupCost Objective::force_group_cost(std::uint64_t fingerprint,
   bool quarantined = false;
   auto guarded = [&]() -> GroupCost {
     try {
-      return compute_group_cost(group);
+      return compute_group_cost(group, built);
     } catch (const std::runtime_error& e) {
       if (!options_.quarantine_faults) throw;
       quarantined = true;
@@ -139,14 +148,15 @@ Objective::GroupCost Objective::force_group_cost(std::uint64_t fingerprint,
   return cost;
 }
 
-Objective::GroupCost Objective::group_cost(std::span<const KernelId> group) const {
+Objective::GroupCost Objective::group_cost(std::span<const KernelId> group,
+                                           const LaunchDescriptor* built) const {
   KF_REQUIRE(!group.empty(), "empty group");
   const std::uint64_t key = group_fingerprint(group);
   // Hit path: one shared lock on one cache shard, quarantine state folded
   // into the entry — no second acquisition, no re-hash, no allocation.
   GroupCost cached;
   if (peek_group_cost(key, &cached)) return cached;
-  return force_group_cost(key, group);
+  return force_group_cost(key, group, built);
 }
 
 Objective::GroupCost Objective::inspect_group_cost(
@@ -155,7 +165,7 @@ Objective::GroupCost Objective::inspect_group_cost(
   GroupCostCache::Entry entry;
   if (cache_.find(group_fingerprint(group), &entry)) return entry.cost;
   try {
-    return compute_group_cost(group);
+    return compute_group_cost(group, nullptr);
   } catch (const std::runtime_error&) {
     return quarantine_cost(group);
   }

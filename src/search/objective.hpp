@@ -72,7 +72,13 @@ class Objective {
   /// combined commutatively, no allocation, no sort.
   static std::uint64_t group_fingerprint(std::span<const KernelId> group) noexcept;
 
-  GroupCost group_cost(std::span<const KernelId> group) const;
+  /// Cost of one group. On a cache miss a fused group is priced from
+  /// `built` when that descriptor's members equal `group` (same kernels in
+  /// the same order; LegalityChecker::check_group hands one back), else
+  /// from a fresh build. Fault draws, counters and cache entries do not
+  /// depend on `built`, which must come from this objective's checker.
+  GroupCost group_cost(std::span<const KernelId> group,
+                       const LaunchDescriptor* built = nullptr) const;
 
   double plan_cost(const FusionPlan& plan) const;
 
@@ -172,9 +178,10 @@ class Objective {
   /// Evaluates a group whose fingerprint just missed and publishes it to
   /// the cache: counts a model evaluation (miss), quarantines on a throw.
   /// Losing an insert race is counted in CacheStats::duplicate_misses.
-  GroupCost force_group_cost(std::uint64_t fingerprint,
-                             std::span<const KernelId> group) const;
-  GroupCost compute_group_cost(std::span<const KernelId> group) const;
+  GroupCost force_group_cost(std::uint64_t fingerprint, std::span<const KernelId> group,
+                             const LaunchDescriptor* built = nullptr) const;
+  GroupCost compute_group_cost(std::span<const KernelId> group,
+                               const LaunchDescriptor* built) const;
   GroupCost quarantine_cost(std::span<const KernelId> group) const;
   void note_fault(std::span<const KernelId> group, std::uint64_t fingerprint,
                   const char* what) const;

@@ -55,8 +55,13 @@ int repair_plan(const LegalityChecker& checker, FusionPlan& plan) {
       }
     }
   }
+  return repaired + break_cycles(checker, plan);
+}
+
+int break_cycles(const LegalityChecker& checker, FusionPlan& plan) {
   // Plan-level: break condensation cycles by dissolving the largest fused
   // group on a cycle until the plan is schedulable.
+  int repaired = 0;
   for (;;) {
     const std::vector<int> stuck = checker.cyclic_groups(plan);
     if (stuck.empty()) break;

@@ -28,10 +28,15 @@ namespace kf {
 FusionPlan random_legal_plan(const LegalityChecker& checker, Rng& rng,
                              double aggressiveness = 0.8);
 
-/// Ensures every group of `plan` is legal by splitting violating groups
-/// into singletons (singletons are always legal). Returns the number of
-/// groups split.
+/// Makes `plan` legal: splits every illegal group into singletons
+/// (singletons are always legal), then runs break_cycles. Returns the
+/// number of groups split.
 int repair_plan(const LegalityChecker& checker, FusionPlan& plan);
+
+/// For a plan whose groups are all legal: while the group quotient has a
+/// cycle, splits the largest fused group on one, which leaves the plan
+/// legal. Returns the number of groups split.
+int break_cycles(const LegalityChecker& checker, FusionPlan& plan);
 
 /// One member of an evolutionary population.
 struct Individual {

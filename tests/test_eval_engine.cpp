@@ -468,6 +468,132 @@ TEST(CostingPins, FaultQuarantinedSearchesMatchAcrossThreadCounts) {
   for (const Pin& pin : pins) expect_pinned(pin, true);
 }
 
+// ---------- descriptor hand-off: check_group -> group_cost ----------
+
+/// Sorted fused groups the search prices: random pair unions of a random
+/// legal plan's groups and random single-kernel moves into them, legal or
+/// not, each once. The plans come from a checker of their own, so the
+/// caller's checker has seen none of the groups.
+std::vector<std::vector<KernelId>> handoff_groups(const Program& program, std::uint64_t seed) {
+  const LegalityChecker checker(program, DeviceSpec::k20x());
+  Rng rng(seed);
+  std::set<std::vector<KernelId>> seen;
+  std::vector<std::vector<KernelId>> out;
+  auto add = [&](std::vector<KernelId> g) {
+    std::sort(g.begin(), g.end());
+    if (seen.insert(g).second) out.push_back(std::move(g));
+  };
+  for (const double aggressiveness : {0.3, 0.6}) {
+    const FusionPlan plan = random_legal_plan(checker, rng, aggressiveness);
+    const auto groups = static_cast<std::uint64_t>(plan.num_groups());
+    for (int i = 0; i < 150; ++i) {
+      const int a = static_cast<int>(rng.next_below(groups));
+      int b = static_cast<int>(rng.next_below(groups - 1));
+      if (b >= a) ++b;
+      std::vector<KernelId> merged(plan.group(a).begin(), plan.group(a).end());
+      merged.insert(merged.end(), plan.group(b).begin(), plan.group(b).end());
+      add(std::move(merged));
+      const std::span<const KernelId> from = plan.group(a);
+      std::vector<KernelId> moved(plan.group(b).begin(), plan.group(b).end());
+      moved.push_back(from[rng.next_below(from.size())]);
+      add(std::move(moved));
+    }
+  }
+  return out;
+}
+
+/// Every counter an objective keeps.
+std::vector<long> counters_of(const Objective& objective) {
+  const Objective::CacheStats s = objective.cache_stats();
+  return {s.evaluations,      s.hits,        s.misses,
+          s.incremental_hits, s.duplicate_misses, s.quarantined,
+          static_cast<long>(s.entries), objective.faults(),
+          objective.model_evaluations()};
+}
+
+TEST(DescriptorHandOff, PricingFromTheCheckersDescriptorMatchesAFreshBuild) {
+  // Twin fresh objectives on one checker: one prices each legal group from
+  // the descriptor check_group handed over, the other builds its own.
+  for (const bool faulty : {false, true}) {
+    std::optional<ScopedFaultInjection> arm;
+    if (faulty) arm.emplace(FaultPlan{FaultSite::Objective, 0.3, 21});
+    EngineRig rig = suite_rig(40, 5);
+    const Objective twin(rig.checker, rig.model, rig.sim);
+    long handed = 0;
+    for (const std::vector<KernelId>& g : handoff_groups(rig.program, 91)) {
+      LaunchDescriptor built;
+      if (rig.checker.check_group(g, &built) != LegalityVerdict::Ok) continue;
+      ASSERT_EQ(built.members, g);  // every group is fresh: the memo missed
+      ++handed;
+      const Objective::GroupCost got = rig.objective.group_cost(g, &built);
+      const Objective::GroupCost want = twin.group_cost(g);
+      EXPECT_EQ(bits(got.cost_s), bits(want.cost_s)) << faulty;
+      EXPECT_EQ(got.profitable, want.profitable) << faulty;
+    }
+    EXPECT_GT(handed, 50) << faulty;
+    EXPECT_EQ(counters_of(rig.objective), counters_of(twin)) << faulty;
+    EXPECT_EQ(rig.objective.quarantined_fingerprints(), twin.quarantined_fingerprints());
+    if (faulty) {
+      EXPECT_GT(rig.objective.faults(), 0);
+    }
+  }
+}
+
+TEST(DescriptorHandOff, ADescriptorOfOtherMembersIsIgnored) {
+  for (const bool faulty : {false, true}) {
+    std::optional<ScopedFaultInjection> arm;
+    if (faulty) arm.emplace(FaultPlan{FaultSite::Objective, 0.3, 21});
+    EngineRig rig = suite_rig(40, 5);
+    const Objective twin(rig.checker, rig.model, rig.sim);
+    const std::vector<std::vector<KernelId>> groups = handoff_groups(rig.program, 92);
+    ASSERT_GT(groups.size(), 2u);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      // The next group's descriptor, or this group's with a member missing.
+      LaunchDescriptor other = rig.checker.builder().build(groups[(i + 1) % groups.size()]);
+      if (i % 2 == 1) {
+        other = rig.checker.builder().build(groups[i]);
+        other.members.pop_back();
+      }
+      const Objective::GroupCost got = rig.objective.group_cost(groups[i], &other);
+      const Objective::GroupCost want = twin.group_cost(groups[i]);
+      EXPECT_EQ(bits(got.cost_s), bits(want.cost_s)) << i;
+      EXPECT_EQ(got.profitable, want.profitable) << i;
+    }
+    EXPECT_EQ(counters_of(rig.objective), counters_of(twin)) << faulty;
+  }
+}
+
+TEST(DescriptorHandOff, CheckingThenPricingAFreshGroupBuildsItOnce) {
+  for (const bool faulty : {false, true}) {
+    std::optional<ScopedFaultInjection> arm;
+    if (faulty) arm.emplace(FaultPlan{FaultSite::Objective, 0.3, 21});
+    EngineRig rig = suite_rig(40, 5);
+    const FusedKernelBuilder& builder = rig.checker.builder();
+    long priced = 0;
+    for (const std::vector<KernelId>& g : handoff_groups(rig.program, 93)) {
+      const long before = builder.fused_builds();
+      LaunchDescriptor built;
+      if (rig.checker.check_group(g, &built) != LegalityVerdict::Ok) continue;
+      (void)rig.objective.group_cost(g, &built);
+      EXPECT_EQ(builder.fused_builds() - before, 1) << faulty;
+      ++priced;
+    }
+    EXPECT_GT(priced, 50) << faulty;
+    // Without the hand-off, the same sequence builds every group twice.
+    EngineRig bare = suite_rig(40, 5);
+    long twice = 0;
+    for (const std::vector<KernelId>& g : handoff_groups(bare.program, 93)) {
+      if (bare.checker.check_group(g) != LegalityVerdict::Ok) continue;
+      (void)bare.objective.group_cost(g);
+      ++twice;
+    }
+    EXPECT_EQ(twice, priced);
+    const long faults = faulty ? bare.objective.faults() : 0;
+    // A faulted group throws before its build, so it is built only once.
+    EXPECT_EQ(bare.checker.builder().fused_builds(), 2 * twice - faults) << faulty;
+  }
+}
+
 // ---------- population arena ----------
 
 TEST(PopulationArena, SteadyStateGenerationsAllocateNothing) {

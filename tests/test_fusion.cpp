@@ -3,21 +3,32 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
+#include <set>
+#include <sstream>
 #include <thread>
 
+#include "apps/cloverleaf.hpp"
+#include "apps/homme.hpp"
 #include "apps/motivating_example.hpp"
 #include "apps/scale_les.hpp"
+#include "apps/testsuite.hpp"
 #include "fusion/fused_kernel.hpp"
 #include "fusion/fusion_plan.hpp"
 #include "fusion/legality.hpp"
 #include "fusion/reducible_traffic.hpp"
 #include "fusion/transformer.hpp"
 #include "graph/array_expansion.hpp"
+#include "search/population.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace kf {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 // ---------- FusionPlan ----------
 
@@ -119,6 +130,355 @@ TEST(FusedKernel, RegistersGrowWithMembers) {
                                     p.find_kernel("Kern_E")};
   EXPECT_GT(builder.build(three).regs_per_thread, 0);
   EXPECT_GE(builder.build(three).regs_per_thread, builder.build(two).regs_per_thread);
+}
+
+// ---------- FusedKernelBuilder against the build it replaced ----------
+
+/// FusedKernelBuilder::build as it was before the builder precomputed its
+/// program-wide facts and reused flat scratch: std::map/std::set
+/// bookkeeping, a name from std::ostringstream, a rescan of every kernel per
+/// pivot for read-only-cache eligibility and of every earlier member per
+/// offset read for halo producers. Copied verbatim as the reference.
+LaunchDescriptor reference_build(const Program& program_, const FusionCostParams& params_,
+                                 std::span<const KernelId> group) {
+  KF_REQUIRE(!group.empty(), "cannot build a descriptor for an empty group");
+  std::vector<KernelId> members(group.begin(), group.end());
+  std::sort(members.begin(), members.end());  // invocation order
+  if (members.size() == 1) return descriptor_for_original(program_, members[0]);
+
+  LaunchDescriptor d;
+  d.members = members;
+  {
+    std::ostringstream os;
+    os << "F[";
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (i) os << '+';
+      os << program_.kernel(members[i]).name;
+    }
+    os << ']';
+    d.name = os.str();
+  }
+
+  // ---- pivot arrays: arrays touched by >= 2 members ----
+  std::map<ArrayId, int> touches;
+  for (KernelId k : members) {
+    for (const ArrayAccess& acc : program_.kernel(k).accesses) {
+      ++touches[acc.array];
+    }
+  }
+  for (const auto& [array, count] : touches) {
+    if (count >= 2) d.pivot_arrays.push_back(array);
+  }
+
+  if (params_.rocache_bytes != 0) {
+    const long budget = params_.rocache_bytes < 0
+                            ? DeviceSpec::k20x().readonly_cache_per_smx
+                            : params_.rocache_bytes;
+    long used = 0;
+    std::vector<ArrayId> keep;
+    for (ArrayId a : d.pivot_arrays) {
+      bool eligible = program_.array(a).readonly_cache_eligible;
+      for (KernelId k = 0; eligible && k < program_.num_kernels(); ++k) {
+        eligible = !program_.kernel(k).writes(a);
+      }
+      const long tile_bytes =
+          static_cast<long>(program_.launch().threads_per_block() *
+                            halo_area_factor(program_.launch(), 1)) *
+          program_.array(a).elem_bytes;
+      if (eligible && used + tile_bytes <= budget) {
+        d.rocache_arrays.push_back(a);
+        used += tile_bytes;
+      } else {
+        keep.push_back(a);
+      }
+    }
+    d.pivot_arrays = std::move(keep);
+  }
+
+  std::set<ArrayId> produced;
+  std::set<KernelId> halo_computers;
+  int sync_boundaries = 0;
+  int consumer_halo = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const KernelInfo& kernel = program_.kernel(members[i]);
+    bool needs_sync_before = false;
+    for (const ArrayAccess& acc : kernel.accesses) {
+      if (acc.is_read() && produced.contains(acc.array)) {
+        needs_sync_before = true;
+        const int r = acc.pattern.horizontal_radius();
+        if (r > 0) {
+          consumer_halo = std::max(consumer_halo, r);
+          for (std::size_t j = 0; j < i; ++j) {
+            if (program_.kernel(members[j]).writes(acc.array)) {
+              halo_computers.insert(members[j]);
+            }
+          }
+        }
+      }
+    }
+    if (needs_sync_before) ++sync_boundaries;
+    for (const ArrayAccess& acc : kernel.accesses) {
+      if (acc.is_write() &&
+          std::find(d.pivot_arrays.begin(), d.pivot_arrays.end(), acc.array) !=
+              d.pivot_arrays.end()) {
+        produced.insert(acc.array);
+      }
+    }
+  }
+  d.recompute_halo = consumer_halo > 0;
+
+  int stage_radius = 0;
+  for (KernelId k : members) {
+    for (const ArrayAccess& acc : program_.kernel(k).accesses) {
+      if (acc.is_read() && d.is_staged(acc.array)) {
+        stage_radius = std::max(stage_radius, acc.pattern.horizontal_radius());
+      }
+    }
+  }
+  d.halo_radius = stage_radius + (d.recompute_halo ? consumer_halo : 0);
+
+  const bool stages_inputs = !d.pivot_arrays.empty();
+  d.barriers = (stages_inputs ? 1 : 0) + sync_boundaries;
+
+  const LaunchConfig& launch = program_.launch();
+  const long tile_elems = static_cast<long>(
+      (launch.block_x + 2L * d.halo_radius + 1) *
+      (launch.block_y + 2L * d.halo_radius));
+  long smem = 0;
+  for (ArrayId a : d.pivot_arrays) {
+    smem += tile_elems * program_.array(a).elem_bytes;
+  }
+  long scratch = 0;
+  for (KernelId k : members) {
+    const KernelInfo& kernel = program_.kernel(k);
+    if (!kernel.smem_in_original) continue;
+    for (const ArrayAccess& acc : kernel.accesses) {
+      if (!acc.is_read() || acc.pattern.thread_load() <= 1) continue;
+      if (d.is_staged(acc.array)) continue;
+      const int r = acc.pattern.horizontal_radius();
+      const long elems = static_cast<long>((launch.block_x + 2L * r + 1) *
+                                           (launch.block_y + 2L * r));
+      scratch = std::max(scratch, elems * program_.array(acc.array).elem_bytes);
+    }
+  }
+  d.smem_per_block_bytes = smem + scratch;
+
+  int max_regs = 0;
+  int sum_secondary = 0;
+  int max_addr = 0;
+  for (KernelId k : members) {
+    const KernelInfo& kernel = program_.kernel(k);
+    max_regs = std::max(max_regs, kernel.regs_per_thread);
+    max_addr = std::max(max_addr, kernel.addr_regs);
+    sum_secondary += std::max(0, kernel.regs_per_thread - kernel.addr_regs);
+  }
+  const int largest_payload = max_regs;
+  sum_secondary -= std::max(0, max_regs - max_addr);
+  const long halo_pts = halo_points(launch, d.halo_radius);
+  const int h_th = d.recompute_halo
+                       ? static_cast<int>((halo_pts + launch.threads_per_block() - 1) /
+                                          launch.threads_per_block())
+                       : 0;
+  d.regs_per_thread =
+      largest_payload +
+      static_cast<int>(std::ceil(params_.secondary_reg_fraction * sum_secondary)) +
+      params_.regs_per_pivot * static_cast<int>(d.pivot_arrays.size()) +
+      params_.fused_addr_regs + h_th;
+
+  double flops = 0.0;
+  for (KernelId k : members) flops += program_.kernel(k).flops_per_site;
+  double halo_flops = 0.0;
+  if (d.recompute_halo) {
+    const double halo_fraction = static_cast<double>(halo_points(launch, consumer_halo)) /
+                                 launch.threads_per_block();
+    for (KernelId k : halo_computers) {
+      halo_flops += program_.kernel(k).flops_per_site * halo_fraction;
+    }
+  }
+  d.flops_per_site = flops + halo_flops;
+  d.halo_flops_per_site = halo_flops;
+  return d;
+}
+
+/// Every field, the doubles by their bits.
+bool same_descriptor(const LaunchDescriptor& a, const LaunchDescriptor& b) {
+  return a.name == b.name && a.members == b.members && a.pivot_arrays == b.pivot_arrays &&
+         a.rocache_arrays == b.rocache_arrays && a.halo_radius == b.halo_radius &&
+         a.recompute_halo == b.recompute_halo && a.barriers == b.barriers &&
+         a.regs_per_thread == b.regs_per_thread &&
+         a.smem_per_block_bytes == b.smem_per_block_bytes &&
+         bits(a.flops_per_site) == bits(b.flops_per_site) &&
+         bits(a.halo_flops_per_site) == bits(b.halo_flops_per_site);
+}
+
+/// SCALE-LES, HOMME, rk18, CloverLeaf, fig3, then the serve-mixed
+/// benchmark's twelve Table V programs.
+std::vector<Program> builder_programs() {
+  std::vector<Program> out;
+  out.push_back(scale_les());
+  out.push_back(homme());
+  out.push_back(scale_les_rk18());
+  out.push_back(cloverleaf());
+  out.push_back(motivating_example());
+  for (const int kernels : {20, 30, 40, 50}) {
+    for (const int sharing : {2, 4, 8}) {
+      TestSuiteConfig config;
+      config.kernels = kernels;
+      config.arrays = 2 * kernels;
+      config.sharing_set_size = sharing;
+      config.seed = 1;
+      out.push_back(make_testsuite_program(config));
+    }
+  }
+  return out;
+}
+
+/// The groups of two random legal plans, then random pair unions of their
+/// groups and random single-kernel moves into them — the shapes the search
+/// builds.
+std::vector<std::vector<KernelId>> builder_corpus(const LegalityChecker& checker, Rng& rng) {
+  std::vector<std::vector<KernelId>> out;
+  for (const double aggressiveness : {0.5, 0.9}) {
+    const FusionPlan plan = random_legal_plan(checker, rng, aggressiveness);
+    for (int g = 0; g < plan.num_groups(); ++g) {
+      out.emplace_back(plan.group(g).begin(), plan.group(g).end());
+    }
+    const auto groups = static_cast<std::uint64_t>(plan.num_groups());
+    if (groups < 2) continue;
+    for (int i = 0; i < 48; ++i) {
+      const int a = static_cast<int>(rng.next_below(groups));
+      int b = static_cast<int>(rng.next_below(groups - 1));
+      if (b >= a) ++b;
+      std::vector<KernelId> merged(plan.group(a).begin(), plan.group(a).end());
+      merged.insert(merged.end(), plan.group(b).begin(), plan.group(b).end());
+      out.push_back(std::move(merged));
+      const std::span<const KernelId> from = plan.group(a);
+      std::vector<KernelId> moved(plan.group(b).begin(), plan.group(b).end());
+      moved.push_back(from[rng.next_below(from.size())]);
+      out.push_back(std::move(moved));
+    }
+  }
+  return out;
+}
+
+TEST(FusedKernel, MatchesTheReferenceBuild) {
+  // Each program as the search sees it (expanded), and unexpanded with
+  // every array flagged for the read-only cache, so the builder must
+  // offload the read-only ones while the budget lasts, keep every written
+  // one, and handle arrays that several members write.
+  long builds = 0;
+  long mismatches = 0;
+  long offloading = 0;
+  long recomputing = 0;
+  std::string first_mismatch;
+  for (const Program& raw : builder_programs()) {
+    const Program as_searched = expand_arrays(raw).program;
+    Program flagged = raw;
+    for (ArrayId a = 0; a < flagged.num_arrays(); ++a) {
+      flagged.array(a).readonly_cache_eligible = true;
+    }
+    Rng rng(0xb111d + static_cast<std::uint64_t>(raw.num_kernels()));
+    for (const Program* program : {&as_searched, static_cast<const Program*>(&flagged)}) {
+      for (const DeviceSpec& device :
+           {DeviceSpec::k20x(), DeviceSpec::k40(), DeviceSpec::gtx750ti()}) {
+        const LegalityChecker checker(*program, device);
+        // The checker's builder (the device's read-only cache), no read-only
+        // cache, and a budget that runs out after a couple of tiles.
+        FusionCostParams device_default;
+        device_default.rocache_bytes = device.readonly_cache_per_smx;
+        FusionCostParams off;
+        off.rocache_bytes = 0;
+        FusionCostParams small;
+        small.rocache_bytes = 4000;
+        const FusedKernelBuilder off_builder(*program, off);
+        const FusedKernelBuilder small_builder(*program, small);
+        const std::pair<const FusedKernelBuilder*, FusionCostParams> variants[] = {
+            {&checker.builder(), device_default}, {&off_builder, off}, {&small_builder, small}};
+        for (const std::vector<KernelId>& group : builder_corpus(checker, rng)) {
+          for (const auto& [builder, params] : variants) {
+            const LaunchDescriptor got = builder->build(group);
+            const LaunchDescriptor want = reference_build(*program, params, group);
+            ++builds;
+            if (!want.rocache_arrays.empty()) ++offloading;
+            if (want.recompute_halo) ++recomputing;
+            if (!same_descriptor(got, want)) {
+              if (mismatches++ == 0) {
+                first_mismatch = raw.name() + " on " + device.name + ", budget " +
+                                 std::to_string(params.rocache_bytes) + ": " + want.name;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first: " << first_mismatch;
+  // The corpus reaches the read-only cache and halo recomputation.
+  EXPECT_GT(offloading, 0);
+  EXPECT_GT(recomputing, 0);
+  EXPECT_GT(builds, 50000);
+}
+
+TEST(FusedKernel, OnlyEarlierProducersRecomputeTheHalo) {
+  // k1 reads b at offsets after k0 produced it, then overwrites b: k0
+  // recomputes b's halo sites; k1 consumes them and recomputes nothing.
+  Program p("overwrite", GridDims{32, 16, 4});
+  const ArrayId a = p.add_array("a");
+  const ArrayId b = p.add_array("b");
+  const ArrayId c = p.add_array("c");
+  KernelInfo k0;
+  k0.name = "k0";
+  k0.body.push_back({b, Expr::load(a, {-1, 0, 0}) + Expr::load(a, {1, 0, 0})});
+  k0.derive_metadata_from_body();
+  p.add_kernel(std::move(k0));
+  KernelInfo k1;
+  k1.name = "k1";
+  k1.body.push_back({c, Expr::load(b, {-1, 0, 0}) + Expr::load(b, {1, 0, 0})});
+  k1.body.push_back({b, Expr::load(c, {0, 0, 0})});
+  k1.derive_metadata_from_body();
+  p.add_kernel(std::move(k1));
+  p.validate();
+  const std::vector<KernelId> both{0, 1};
+  const LaunchDescriptor d = FusedKernelBuilder(p).build(both);
+  ASSERT_TRUE(d.recompute_halo);
+  const double fraction = static_cast<double>(halo_points(p.launch(), 1)) /
+                          p.launch().threads_per_block();
+  EXPECT_EQ(bits(d.halo_flops_per_site), bits(p.kernel(0).flops_per_site * fraction));
+  EXPECT_TRUE(same_descriptor(d, reference_build(p, FusionCostParams(), both)));
+}
+
+TEST(FusedKernel, ConcurrentBuildsMatchSerial) {
+  // One builder shared by 8 threads against a serial twin: the per-thread
+  // scratch must keep builds independent, and the build counter exact.
+  Program p = expand_arrays(scale_les()).program;
+  for (ArrayId a = 0; a < p.num_arrays(); ++a) p.array(a).readonly_cache_eligible = true;
+  const LegalityChecker checker(p, DeviceSpec::k20x());
+  Rng rng(77);
+  const std::vector<std::vector<KernelId>> groups = builder_corpus(checker, rng);
+  const FusedKernelBuilder serial(p);
+  std::vector<LaunchDescriptor> expected;
+  for (const auto& g : groups) expected.push_back(serial.build(g));
+  const long fused_per_pass = serial.fused_builds();
+  ASSERT_GT(fused_per_pass, 100);
+
+  const FusedKernelBuilder shared(p);
+  constexpr int kThreads = 8;
+  constexpr std::size_t kPasses = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPasses * groups.size(); ++i) {
+        const std::size_t j = (i + static_cast<std::size_t>(t) * 37) % groups.size();
+        if (!same_descriptor(shared.build(groups[j]), expected[j])) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << t;
+  EXPECT_EQ(shared.fused_builds(), kThreads * static_cast<long>(kPasses) * fused_per_pass);
 }
 
 // ---------- legality ----------
@@ -245,6 +605,32 @@ TEST(Legality, RepeatedAndOutOfRangeMembers) {
   EXPECT_THROW(checker.check_group(far), PreconditionError);
   EXPECT_EQ(checker.check_group(cde), LegalityVerdict::Ok);
   EXPECT_EQ(checker.check_group(cc), LegalityVerdict::NotConnected);
+}
+
+TEST(Legality, CheckGroupHandsOverTheDescriptorItBuilt) {
+  const Program p = motivating_example(GridDims{64, 32, 8});
+  const LegalityChecker checker(p, DeviceSpec::k20x());
+  const std::vector<KernelId> cde{p.find_kernel("Kern_E"), p.find_kernel("Kern_C"),
+                                  p.find_kernel("Kern_D")};
+  const std::vector<KernelId> ac{p.find_kernel("Kern_A"), p.find_kernel("Kern_C")};
+  // A memo miss builds the descriptor and hands it over.
+  LaunchDescriptor built;
+  ASSERT_EQ(checker.check_group(cde, &built), LegalityVerdict::Ok);
+  EXPECT_EQ(checker.builder().fused_builds(), 1);
+  EXPECT_TRUE(same_descriptor(built, checker.builder().build(cde)));
+  // A memo hit and a cheap-check failure build nothing and leave it alone.
+  const long before = checker.builder().fused_builds();
+  LaunchDescriptor untouched;
+  untouched.name = "sentinel";
+  EXPECT_EQ(checker.check_group(cde, &untouched), LegalityVerdict::Ok);
+  EXPECT_EQ(checker.check_group(ac, &untouched), LegalityVerdict::NotConnected);
+  EXPECT_EQ(untouched.name, "sentinel");
+  EXPECT_EQ(checker.builder().fused_builds(), before);
+  // An overflowing group hands over its descriptor too.
+  const LegalityChecker tiny(p, DeviceSpec::k20x().with_smem_capacity(1024));
+  LaunchDescriptor overflowing;
+  EXPECT_EQ(tiny.check_group(cde, &overflowing), LegalityVerdict::SmemOverflow);
+  EXPECT_TRUE(same_descriptor(overflowing, built));
 }
 
 TEST(Legality, ConcurrentChecksMatchSerial) {

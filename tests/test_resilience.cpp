@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "search/hgga.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/fs_io.hpp"
 
 namespace kf {
 namespace {
@@ -552,27 +554,65 @@ TEST(Checkpoint, RejectsTruncatedAndCorruptInput) {
   }
 }
 
+std::string checkpoint_fixture(const std::string& name) {
+  return std::string(KF_FIXTURE_DIR) + "/bad/checkpoint/" + name;
+}
+
+/// A scratch copy of a corpus checkpoint for a resume to read: a resume
+/// that wrongly went ahead would overwrite the file it resumed.
+std::string resumable_copy(const std::string& name) {
+  const std::string fixture = checkpoint_fixture(name);
+  EXPECT_TRUE(file_exists(fixture)) << "missing fixture " << fixture;
+  const std::string copy = testing::TempDir() + "kf_resume_" + name;
+  std::filesystem::copy_file(fixture, copy, std::filesystem::copy_options::overwrite_existing);
+  return copy;
+}
+
 /// Every checked-in bad checkpoint must fail with the typed CheckpointError
 /// — one specimen per load-path failure mode (bad magic, truncation,
 /// non-finite costs, oversized counts, non-partition plans, ...), so a
 /// refactor of the parser cannot silently downgrade an error to a crash or
-/// an accept.
-class BadCheckpoint : public testing::TestWithParam<const char*> {};
+/// an accept. Each specimen must exist and fail at its own check, which the
+/// message fragment pins.
+struct BadCheckpointCase {
+  const char* file;
+  const char* message;
+};
+
+/// A case prints as its file name, so the test names stay those of the
+/// corpus files.
+void PrintTo(const BadCheckpointCase& c, std::ostream* os) {
+  *os << testing::PrintToString(c.file);
+}
+
+class BadCheckpoint : public testing::TestWithParam<BadCheckpointCase> {};
 
 TEST_P(BadCheckpoint, LoadFailsWithTheTypedError) {
-  const std::string path =
-      std::string(KF_FIXTURE_DIR) + "/bad/checkpoint/" + GetParam();
-  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  const std::string path = checkpoint_fixture(GetParam().file);
+  ASSERT_TRUE(file_exists(path)) << "missing fixture " << path;
+  try {
+    load_checkpoint(path);
+    FAIL() << GetParam().file << " loaded";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(GetParam().message), std::string::npos)
+        << GetParam().file << " failed elsewhere: " << e.what();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, BadCheckpoint,
-    testing::Values("empty.ckpt", "bad_magic.ckpt", "truncated.ckpt",
-                    "bad_rng.ckpt", "bad_cost.ckpt", "nonfinite_cost.ckpt",
-                    "oversized_count.ckpt", "oversized_kernels.ckpt",
-                    "no_population.ckpt", "bad_plan.ckpt"),
+    testing::Values(BadCheckpointCase{"empty.ckpt", "empty checkpoint"},
+                    BadCheckpointCase{"bad_magic.ckpt", "bad magic"},
+                    BadCheckpointCase{"truncated.ckpt", "missing 'end'"},
+                    BadCheckpointCase{"bad_rng.ckpt", "bad rng line"},
+                    BadCheckpointCase{"bad_cost.ckpt", "bad cost value 'zzz'"},
+                    BadCheckpointCase{"nonfinite_cost.ckpt", "non-finite cost value"},
+                    BadCheckpointCase{"oversized_count.ckpt", "stall value 4294967296 out of range"},
+                    BadCheckpointCase{"oversized_kernels.ckpt", "exceeds the 65536 cap"},
+                    BadCheckpointCase{"no_population.ckpt", "empty population"},
+                    BadCheckpointCase{"bad_plan.ckpt", "bad plan"}),
     [](const auto& info) {
-      std::string name = info.param;
+      const std::string name = info.param.file;
       return name.substr(0, name.find('.'));
     });
 
@@ -604,10 +644,51 @@ TEST(Checkpoint, ResumeWithACorruptCheckpointAbortsBeforeSearching) {
   Rig rig(scale_les_rk18());
   DriverConfig cfg;
   cfg.method = SearchMethod::Hgga;
-  cfg.checkpointing.file =
-      std::string(KF_FIXTURE_DIR) + "/bad/checkpoint/bad_plan.ckpt";
+  cfg.checkpointing.file = resumable_copy("bad_plan.ckpt");
   cfg.checkpointing.resume = true;
-  EXPECT_THROW(SearchDriver(rig.objective, cfg).run(), CheckpointError);
+  try {
+    SearchDriver(rig.objective, cfg).run();
+    ADD_FAILURE() << "a corrupt checkpoint resumed";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad plan"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(rig.objective.evaluations(), 0);
+  std::remove(cfg.checkpointing.file.c_str());
+}
+
+TEST(Checkpoint, ResumeWithAnIllegalPlanAbortsBeforeSearching) {
+  // The fixture parses; its individual 1 holds a group that is not
+  // connected. Crossover keeps parents' groups unchecked, so the resume
+  // must refuse it up front rather than breed from it.
+  Rig rig(scale_les_rk18());
+  DriverConfig cfg;
+  cfg.method = SearchMethod::Hgga;
+  cfg.checkpointing.file = resumable_copy("illegal_plan.ckpt");
+  cfg.checkpointing.resume = true;
+  HggaCheckpoint ckpt;
+  ASSERT_NO_THROW(ckpt = load_checkpoint(cfg.checkpointing.file));
+  try {
+    SearchDriver(rig.objective, cfg).run();
+    ADD_FAILURE() << "a checkpoint holding an illegal plan resumed";
+  } catch (const CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("individual 1 is not a legal plan"), std::string::npos) << what;
+    EXPECT_NE(what.find(to_string(LegalityVerdict::NotConnected)), std::string::npos) << what;
+  }
+  EXPECT_EQ(rig.objective.evaluations(), 0);
+
+  // The same illegal plan as the incumbent, behind a legal population.
+  std::swap(ckpt.best, ckpt.population[1]);
+  save_checkpoint(cfg.checkpointing.file, ckpt);
+  try {
+    SearchDriver(rig.objective, cfg).run();
+    ADD_FAILURE() << "a checkpoint holding an illegal best plan resumed";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("the best plan is not a legal plan"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rig.objective.evaluations(), 0);
+  std::remove(cfg.checkpointing.file.c_str());
 }
 
 TEST(Checkpoint, SaveIsAtomicAndLoadable) {
