@@ -77,7 +77,8 @@ Section measure(std::string name, std::string workload, double budget_pct,
     twin_s.push_back(secs[0]);
     if (outcome[0] != outcome[1]) section.identical = false;
   }
-  section.twin_block_s = median(std::move(twin_s));
+  std::sort(twin_s.begin(), twin_s.end());
+  section.twin_block_s = percentile(twin_s, 50);
   return section;
 }
 

@@ -28,10 +28,6 @@ namespace kf {
 struct CudaEmitOptions {
   /// Emit doubles (the default) or floats.
   bool single_precision = false;
-  /// Emit the host-side driver function alongside the kernels.
-  bool emit_driver = true;
-  /// Indentation unit.
-  std::string indent = "  ";
 };
 
 class CudaEmitter {

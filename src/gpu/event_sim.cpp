@@ -12,6 +12,12 @@
 #include "util/string_util.hpp"
 
 namespace kf {
+namespace {
+
+/// Deterministic per-block duration jitter amplitude (+-).
+constexpr double kBlockJitter = 0.03;
+
+}  // namespace
 
 EventSimulator::EventSimulator(DeviceSpec device, Options options)
     : device_(std::move(device)),
@@ -20,8 +26,6 @@ EventSimulator::EventSimulator(DeviceSpec device, Options options)
       // measurement noise is disabled here (the event model has its own
       // per-block jitter).
       analytic_(device_, TimingSimulator::Options{.noise_amplitude = 0.0}) {
-  KF_REQUIRE(options_.block_jitter >= 0.0 && options_.block_jitter < 0.5,
-             "block jitter out of range");
   KF_REQUIRE(options_.max_records_per_launch > 0, "record cap must be positive");
 }
 
@@ -75,7 +79,7 @@ LaunchTimeline EventSimulator::run(const Program& program,
     slots.pop();
     const double u = static_cast<double>(splitmix64(hash_state) >> 11) * 0x1.0p-53;
     const double duration =
-        block_duration * (1.0 + options_.block_jitter * (2.0 * u - 1.0));
+        block_duration * (1.0 + kBlockJitter * (2.0 * u - 1.0));
     BlockRecord record;
     record.block = b;
     record.smx = slot.smx;

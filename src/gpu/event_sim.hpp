@@ -69,8 +69,6 @@ struct EventTrace {
 class EventSimulator {
  public:
   struct Options {
-    /// Deterministic per-block duration jitter amplitude (+-).
-    double block_jitter = 0.03;
     /// Cap on per-launch block records kept in the trace (the schedule is
     /// still simulated exactly; only the record list is truncated).
     long max_records_per_launch = 100'000;

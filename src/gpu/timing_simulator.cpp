@@ -9,6 +9,12 @@
 #include "util/rng.hpp"
 
 namespace kf {
+namespace {
+
+/// Stencil derate of the device's theoretical FLOP peak.
+constexpr double kFlopEfficiency = 0.65;
+
+}  // namespace
 
 const char* TimeBreakdown::component_name(int index) noexcept {
   switch (index) {
@@ -49,8 +55,6 @@ TimingSimulator::TimingSimulator(DeviceSpec device, Options options)
       device_name_hash_(mix64(std::hash<std::string>{}(device_.name))) {
   KF_REQUIRE(options_.noise_amplitude >= 0.0 && options_.noise_amplitude < 0.5,
              "noise amplitude out of range");
-  KF_REQUIRE(options_.flop_efficiency > 0.0 && options_.flop_efficiency <= 1.0,
-             "flop efficiency out of range");
 }
 
 double TimingSimulator::noise_factor(std::uint64_t launch_name_hash,
@@ -148,7 +152,7 @@ SimResult TimingSimulator::run(const Program& program,
   const double compute_hiding =
       std::min(1.0, static_cast<double>(r.occupancy.active_warps) / 16.0);
   r.compute_time_s =
-      r.flops / (device_.peak_gflops * 1e9 * options_.flop_efficiency * compute_hiding);
+      r.flops / (device_.peak_gflops * 1e9 * kFlopEfficiency * compute_hiding);
 
   // ---- shared-memory time ----
   if (r.traffic.smem_bytes > 0.0) {

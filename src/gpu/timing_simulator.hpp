@@ -99,7 +99,6 @@ class TimingSimulator {
  public:
   struct Options {
     double noise_amplitude = 0.02;  ///< +-2% deterministic jitter
-    double flop_efficiency = 0.65;  ///< stencil derate of theoretical peak
   };
 
   explicit TimingSimulator(DeviceSpec device) : TimingSimulator(std::move(device), Options()) {}

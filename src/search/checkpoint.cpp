@@ -251,16 +251,9 @@ HggaCheckpoint read_checkpoint(std::istream& is) {
 }
 
 void save_checkpoint(const std::string& path, const HggaCheckpoint& ckpt) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    KF_CHECK(static_cast<bool>(os), "cannot open checkpoint file '" << tmp << "'");
-    write_checkpoint(os, ckpt);
-    os.flush();
-    KF_CHECK(static_cast<bool>(os), "failed writing checkpoint '" << tmp << "'");
-  }
-  KF_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-           "cannot rename '" << tmp << "' to '" << path << "'");
+  std::ostringstream os;
+  write_checkpoint(os, ckpt);
+  write_file_atomic(path, os.str());
 }
 
 HggaCheckpoint load_checkpoint(const std::string& path) {

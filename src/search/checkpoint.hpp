@@ -24,9 +24,9 @@
 //   individual cost=0x1.9p-9 plan={0,1} {2} ...
 //   end
 //
-// Writes are atomic: the file is written to "<path>.tmp" and renamed over
-// the destination, so a kill mid-write never corrupts the previous good
-// checkpoint.
+// Writes commit through write_file_atomic (util/fs_io.hpp): "<path>.tmp" is
+// written, fsynced and renamed over the destination, so a kill or power
+// loss mid-write never corrupts the previous good checkpoint.
 #pragma once
 
 #include <array>
@@ -65,7 +65,8 @@ void write_checkpoint(std::ostream& os, const HggaCheckpoint& ckpt);
 /// mode).
 HggaCheckpoint read_checkpoint(std::istream& is);
 
-/// Atomic save: writes "<path>.tmp" then renames it over `path`.
+/// Durable atomic save through write_file_atomic; throws StoreError (a
+/// RuntimeError) when the file cannot be written.
 void save_checkpoint(const std::string& path, const HggaCheckpoint& ckpt);
 
 /// Loads and validates a checkpoint file; throws kf::CheckpointError when

@@ -1,9 +1,7 @@
 #include "search/driver.hpp"
 
 #include <fstream>
-#include <limits>
 
-#include "search/checkpoint.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
@@ -120,14 +118,23 @@ double SearchControl::best_cost() const {
   return best_cost_;
 }
 
-void fill_fault_report(SearchResult& result, const Objective& objective,
-                       const SearchControl* control) {
-  result.fault_report.faults = objective.faults();
-  result.fault_report.quarantined_fingerprints = objective.quarantined_fingerprints();
-  result.fault_report.quarantined =
-      static_cast<long>(result.fault_report.quarantined_fingerprints.size());
+SearchEpilogue::SearchEpilogue(const Objective& objective)
+    : objective_(objective),
+      evaluations_(objective.evaluations()),
+      model_evaluations_(objective.model_evaluations()),
+      faults_(objective.faults()) {}
+
+SearchResult SearchEpilogue::finish(SearchResult result, const SearchControl* control) const {
+  result.best.canonicalize();
+  result.baseline_cost_s = objective_.baseline_cost();
+  result.evaluations = evaluations();
+  result.model_evaluations = objective_.model_evaluations() - model_evaluations_;
+  result.runtime_s = watch_.elapsed_s();
+  result.fault_report.faults = objective_.faults() - faults_;
+  result.fault_report.quarantined = objective_.cache_stats().quarantined;
   result.fault_report.stop_reason =
       control != nullptr ? control->reason() : StopReason::Converged;
+  return result;
 }
 
 SearchDriver::SearchDriver(const Objective& objective, DriverConfig config)
@@ -154,57 +161,39 @@ SearchResult SearchDriver::dispatch(SearchControl& control) {
     case SearchMethod::Random:
       return random_search(objective_, config_.random, &control);
     case SearchMethod::Exhaustive:
-      return exhaustive_search(objective_, config_.exhaustive, &control);
+      return exhaustive_search(objective_, &control);
   }
   throw PreconditionError("unknown search method");
 }
 
-SearchResult SearchDriver::recover(SearchControl& control) const {
+SearchResult SearchDriver::recover(const SearchEpilogue& epilogue,
+                                   SearchControl& control) const {
   // Last line of defense: the method threw (a failure escaped quarantine).
   // Salvage the best plan the control observed — or fall back to the
   // always-legal identity plan — so the caller still gets a usable result.
   SearchResult result;
-  const int n = objective_.checker().program().num_kernels();
   if (control.has_best()) {
     result.best = control.best_plan();
     result.best_cost_s = control.best_cost();
   } else {
-    result.best = FusionPlan(n);
+    result.best = FusionPlan(objective_.checker().program().num_kernels());
     result.best_cost_s = objective_.baseline_cost();
   }
-  result.best.canonicalize();
-  result.baseline_cost_s = objective_.baseline_cost();
-  result.evaluations = objective_.evaluations();
-  result.model_evaluations = objective_.model_evaluations();
-  result.runtime_s = control.elapsed_s();
   result.time_to_best_s = control.elapsed_s();
-  fill_fault_report(result, objective_, &control);
+  result = epilogue.finish(std::move(result), &control);
   if (!control.stopped()) result.fault_report.stop_reason = StopReason::FaultStorm;
   return result;
 }
 
 void SearchDriver::validate_checkpointing() const {
-  // Runs before the salvage net in run(): checkpoint problems must abort the
-  // search up front, not be swallowed by recover() — an unwritable path would
-  // silently strip resume protection, and a missing/mismatched checkpoint
-  // would quietly degrade --resume into a fresh (and stunted) run.
-  if (config_.checkpointing.file.empty()) return;
-  if (config_.checkpointing.resume) {
-    const HggaCheckpoint ckpt = load_checkpoint(config_.checkpointing.file);
-    KF_CHECK(ckpt.num_kernels == objective_.checker().program().num_kernels(),
-             "checkpoint '" << config_.checkpointing.file
-                            << "' was written for a different program ("
-                            << ckpt.num_kernels << " kernels)");
-    KF_CHECK(ckpt.seed == config_.hgga.seed,
-             "checkpoint '" << config_.checkpointing.file
-                            << "' was written with seed " << ckpt.seed
-                            << ", not " << config_.hgga.seed);
-  } else {
-    const std::string tmp = config_.checkpointing.file + ".tmp";
-    std::ofstream probe(tmp, std::ios::app);
-    KF_CHECK(static_cast<bool>(probe),
-             "cannot open checkpoint file '" << tmp << "' for writing");
-  }
+  // Runs before the salvage net in run(): an unwritable path must abort the
+  // search up front, not be swallowed by recover(), or it would silently
+  // strip resume protection. A resumed checkpoint is validated by Hgga::run,
+  // whose CheckpointError run() lets through.
+  if (config_.checkpointing.file.empty() || config_.checkpointing.resume) return;
+  const std::string tmp = config_.checkpointing.file + ".tmp";
+  std::ofstream probe(tmp, std::ios::app);
+  KF_CHECK(static_cast<bool>(probe), "cannot open checkpoint file '" << tmp << "' for writing");
 }
 
 SearchResult SearchDriver::run() {
@@ -226,20 +215,20 @@ SearchResult SearchDriver::run() {
           .num("max_faults", static_cast<double>(config_.limits.max_faults));
     });
   }
+  const SearchEpilogue epilogue(objective_);
   SearchResult result;
   bool recovered = false;
   try {
     SpanTracer::Scope dispatch_span = scoped_span(t, "driver.dispatch");
     result = dispatch(control);
-    fill_fault_report(result, objective_, &control);
   } catch (const CheckpointError&) {
-    // A checkpoint the method rejects on resume (an illegal restored plan)
-    // is bad input like the ones validate_checkpointing catches: abort,
-    // never degrade --resume into a salvaged identity plan.
+    // A checkpoint the method rejects on resume (missing, corrupt, written
+    // for another program or seed, or holding an illegal plan) is bad
+    // input: abort, never degrade --resume into a salvaged identity plan.
     throw;
   } catch (const std::runtime_error&) {
     SpanTracer::Scope recover_span = scoped_span(t, "driver.recover");
-    result = recover(control);
+    result = recover(epilogue, control);
     recovered = true;
   }
   if (t != nullptr) {

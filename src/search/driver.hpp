@@ -19,8 +19,8 @@
 //   * HGGA runs can checkpoint periodically and resume bit-identically
 //     (see checkpoint.hpp).
 //
-// Every result carries a FaultReport: faults seen, quarantined group
-// fingerprints, and the stop reason.
+// Every result carries a FaultReport: the run's faults, the quarantined
+// member sets, and the stop reason.
 #pragma once
 
 #include <mutex>
@@ -94,6 +94,31 @@ class SearchControl {
   bool has_best_ = false;
 };
 
+/// The epilogue every search method and SearchDriver's recovery end with.
+/// Constructed as a run starts, it keeps the objective's counters then, so
+/// a result counts only its own run's work even on an objective that served
+/// earlier runs (PlanServer keeps one per key across requests and retries).
+class SearchEpilogue {
+ public:
+  explicit SearchEpilogue(const Objective& objective);
+
+  double elapsed_s() const noexcept { return watch_.elapsed_s(); }
+  /// Objective calls since the run started.
+  long evaluations() const noexcept { return objective_.evaluations() - evaluations_; }
+
+  /// Canonicalizes `result.best` and fills the baseline, this run's
+  /// evaluations, model evaluations and faults, the runtime, and the fault
+  /// report (stop reason from `control`, Converged when it is null).
+  SearchResult finish(SearchResult result, const SearchControl* control) const;
+
+ private:
+  const Objective& objective_;
+  Stopwatch watch_;
+  long evaluations_ = 0;
+  long model_evaluations_ = 0;
+  long faults_ = 0;
+};
+
 /// Everything a resilient search run needs; method-specific knobs ride
 /// along so one config drives any method.
 struct DriverConfig {
@@ -103,7 +128,6 @@ struct DriverConfig {
   HggaConfig hgga;
   AnnealingConfig annealing;
   RandomSearchConfig random;
-  ExhaustiveConfig exhaustive;
 
   HggaCheckpointing checkpointing;  ///< HGGA only; file empty → disabled
 
@@ -121,8 +145,9 @@ class SearchDriver {
   /// Runs the configured method under the configured budgets. Never throws
   /// on candidate faults or budget stops; always returns a result whose
   /// `best` is a legal plan and whose fault_report explains the run.
-  /// Checkpoint problems (unwritable path, missing/corrupt/mismatched
-  /// checkpoint under resume) DO throw, before the search starts.
+  /// Checkpoint problems DO throw: an unwritable path before the search
+  /// starts, and a missing, corrupt or mismatched checkpoint under resume
+  /// as the CheckpointError Hgga::run raises before its first generation.
   SearchResult run();
 
  private:
@@ -131,13 +156,7 @@ class SearchDriver {
 
   void validate_checkpointing() const;
   SearchResult dispatch(SearchControl& control);
-  SearchResult recover(SearchControl& control) const;
+  SearchResult recover(const SearchEpilogue& epilogue, SearchControl& control) const;
 };
-
-/// Fills a result's FaultReport from the objective's fault telemetry and
-/// the control's stop reason (Converged when control is null). Methods call
-/// this just before returning.
-void fill_fault_report(SearchResult& result, const Objective& objective,
-                       const SearchControl* control);
 
 }  // namespace kf

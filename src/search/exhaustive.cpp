@@ -4,23 +4,20 @@
 
 #include "search/driver.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace kf {
 namespace {
 
 class Enumerator {
  public:
-  Enumerator(const Objective& objective, const ExhaustiveConfig& config,
-             SearchControl* control)
+  Enumerator(const Objective& objective, SearchControl* control)
       : objective_(objective),
         checker_(objective.checker()),
-        config_(config),
         control_(control),
         n_(checker_.program().num_kernels()) {}
 
   SearchResult run() {
-    Stopwatch watch;
+    const SearchEpilogue epilogue(objective_);
     groups_.clear();
     best_cost_ = std::numeric_limits<double>::infinity();
     partitions_ = 0;
@@ -37,21 +34,16 @@ class Enumerator {
 
     SearchResult result;
     result.best = FusionPlan::from_groups(n_, best_groups_);
-    result.best.canonicalize();
     result.best_cost_s = best_cost_;
-    result.baseline_cost_s = objective_.baseline_cost();
+    result.time_to_best_s = epilogue.elapsed_s();
+    result = epilogue.finish(std::move(result), control_);
     result.evaluations = partitions_;
-    result.model_evaluations = objective_.model_evaluations();
-    result.runtime_s = watch.elapsed_s();
-    result.time_to_best_s = result.runtime_s;
-    fill_fault_report(result, objective_, control_);
     return result;
   }
 
  private:
   const Objective& objective_;
   const LegalityChecker& checker_;
-  ExhaustiveConfig config_;
   SearchControl* control_;
   int n_;
 
@@ -72,7 +64,7 @@ class Enumerator {
         return;
       }
       ++partitions_;
-      KF_CHECK(partitions_ <= config_.max_partitions,
+      KF_CHECK(partitions_ <= kExhaustiveMaxPartitions,
                "partition budget exhausted — problem too large for exhaustive search");
       // Full legality on the complete partition.
       for (const auto& g : groups_) {
@@ -115,12 +107,11 @@ class Enumerator {
 
 }  // namespace
 
-SearchResult exhaustive_search(const Objective& objective, ExhaustiveConfig config,
-                               SearchControl* control) {
+SearchResult exhaustive_search(const Objective& objective, SearchControl* control) {
   const int n = objective.checker().program().num_kernels();
-  KF_REQUIRE(n <= config.max_kernels,
-             "exhaustive search limited to " << config.max_kernels << " kernels, got " << n);
-  Enumerator e(objective, config, control);
+  KF_REQUIRE(n <= kExhaustiveMaxKernels,
+             "exhaustive search limited to " << kExhaustiveMaxKernels << " kernels, got " << n);
+  Enumerator e(objective, control);
   return e.run();
 }
 

@@ -14,22 +14,19 @@
 
 namespace kf {
 
-struct ExhaustiveConfig {
-  int max_kernels = 12;          ///< refuse larger inputs
-  long max_partitions = 50'000'000;  ///< safety valve
-};
+/// Largest program exhaustive_search accepts.
+constexpr int kExhaustiveMaxKernels = 12;
+/// Safety valve: enumeration fails past this many complete partitions.
+constexpr long kExhaustiveMaxPartitions = 50'000'000;
 
 class SearchControl;  // search/driver.hpp
 
-/// Finds the optimal legal plan under the objective. Throws if the program
-/// exceeds the configured limits. `control` (optional) enforces deadline /
-/// evaluation / fault budgets; an early stop returns the best complete
-/// partition seen so far (the identity plan when none was reached yet).
-SearchResult exhaustive_search(const Objective& objective,
-                               ExhaustiveConfig config = ExhaustiveConfig(),
-                               SearchControl* control = nullptr);
-
-/// Number of partitions enumerated by the last call's recursion
-/// (for reporting; exposed via the SearchResult's evaluations counter).
+/// Finds the optimal legal plan under the objective; the result's
+/// `evaluations` is the number of partitions enumerated. Throws when the
+/// program has more than kExhaustiveMaxKernels kernels. `control`
+/// (optional) enforces deadline / evaluation / fault budgets; an early stop
+/// returns the best complete partition seen so far (the identity plan when
+/// none was reached yet).
+SearchResult exhaustive_search(const Objective& objective, SearchControl* control = nullptr);
 
 }  // namespace kf

@@ -5,7 +5,6 @@
 
 #include "search/driver.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/stopwatch.hpp"
 
 namespace kf {
 
@@ -26,7 +25,7 @@ struct PairRecord {
 
 SearchResult greedy_search(const Objective& objective, SearchControl* control,
                            const Telemetry* telemetry) {
-  Stopwatch watch;
+  const SearchEpilogue epilogue(objective);
   SpanTracer::Scope run_span = scoped_span(telemetry, "greedy.run");
   const bool provenance = telemetry != nullptr && telemetry->wants_decisions();
   const LegalityChecker& checker = objective.checker();
@@ -188,14 +187,8 @@ SearchResult greedy_search(const Objective& objective, SearchControl* control,
   plan.canonicalize();
   result.best = plan;
   result.best_cost_s = objective.plan_cost(plan);
-  result.baseline_cost_s = objective.baseline_cost();
-  result.evaluations = objective.evaluations();
-  result.model_evaluations = objective.model_evaluations();
-  result.runtime_s = watch.elapsed_s();
-  result.time_to_best_s = result.runtime_s;
-  result.generations = 0;
-  fill_fault_report(result, objective, control);
-  return result;
+  result.time_to_best_s = epilogue.elapsed_s();
+  return epilogue.finish(std::move(result), control);
 }
 
 }  // namespace kf

@@ -1,6 +1,5 @@
 #include "search/group_cache.hpp"
 
-#include <algorithm>
 #include <mutex>
 
 #include "util/error.hpp"
@@ -49,18 +48,6 @@ bool GroupCostCache::insert(std::uint64_t key, const Entry& entry) {
   entries_.fetch_add(1, std::memory_order_relaxed);
   if (entry.quarantined) quarantined_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-std::vector<std::uint64_t> GroupCostCache::quarantined_keys() const {
-  std::vector<std::uint64_t> out;
-  for (int s = 0; s < shard_count_; ++s) {
-    std::shared_lock<std::shared_mutex> lock(shards_[s].mutex);
-    for (const auto& [key, entry] : shards_[s].map) {
-      if (entry.quarantined) out.push_back(key);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace kf

@@ -73,9 +73,6 @@ class GroupCostCache {
     return contention_.load(std::memory_order_relaxed);
   }
 
-  /// Fingerprints of quarantined entries, sorted.
-  std::vector<std::uint64_t> quarantined_keys() const;
-
  private:
   // Padded to a cache line so neighbouring shard locks never false-share.
   struct alignas(64) Shard {

@@ -19,6 +19,15 @@ namespace kf {
 
 namespace {
 
+constexpr double kCrossoverRate = 0.7;
+constexpr double kMutationMergeRate = 0.35;
+constexpr double kMutationSplitRate = 0.10;
+constexpr double kMutationMoveRate = 0.20;
+constexpr int kTournamentSize = 3;
+constexpr int kElites = 4;
+/// Initial plans merge each kernel with a probability drawn from [0.3, this).
+constexpr double kInitAggressiveness = 0.8;
+
 /// Per-generation telemetry fan-out: metrics series, one "generation" trace
 /// event, and the --progress heartbeat. Only called when telemetry is active.
 void note_generation(const Telemetry& t, int gen, const GenerationStats& s,
@@ -203,10 +212,7 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
         }
         if (!checker.move_is_schedulable(plan, k, to, split_rest)) {
           FusionPlan candidate = plan;
-          candidate.move_kernel(k, to);
-          if (repair_plan(checker, candidate) > 0 && !checker.plan_is_legal(candidate)) {
-            continue;
-          }
+          apply_move(checker, candidate, k, to);
           if (consider(objective.plan_cost(candidate), Edit::Repaired, k, to, false, target)) {
             best_plan = std::move(candidate);
           }
@@ -273,15 +279,13 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
 
 Hgga::Hgga(const Objective& objective, HggaConfig config)
     : objective_(objective), config_(config) {
-  KF_REQUIRE(config_.population >= 4, "population too small");
-  KF_REQUIRE(config_.elites >= 0 && config_.elites < config_.population,
-             "elites out of range");
-  KF_REQUIRE(config_.tournament_size >= 1, "tournament size must be >= 1");
+  KF_REQUIRE(config_.population > kElites,
+             "population must exceed the " << kElites << " elites");
 }
 
 void Hgga::make_random(Rng& rng, Individual& out) const {
   out.plan = random_legal_plan(objective_.checker(), rng,
-                               rng.next_double(0.3, config_.init_aggressiveness));
+                               rng.next_double(0.3, kInitAggressiveness));
   out.cost = objective_.plan_cost(out.plan);
 }
 
@@ -306,7 +310,7 @@ void Hgga::evaluate_offspring(std::vector<Individual>& population) const {
 const Individual& Hgga::tournament(const std::vector<Individual>& pop,
                                    Rng& rng) const {
   const Individual* best = &pop[rng.next_below(pop.size())];
-  for (int t = 1; t < config_.tournament_size; ++t) {
+  for (int t = 1; t < kTournamentSize; ++t) {
     const Individual& challenger = pop[rng.next_below(pop.size())];
     if (challenger.cost < best->cost) best = &challenger;
   }
@@ -428,98 +432,65 @@ int Hgga::mutate(Individual& individual, Rng& rng,
                  const Telemetry* telemetry) const {
   const LegalityChecker& checker = objective_.checker();
   FusionPlan& plan = individual.plan;
+  std::vector<KernelId>& members = scratch_.members;
   int applied = 0;
   // Provenance recording below never consumes RNG and reads group costs
   // through the observer-side lookup, so an attached decision log changes
   // neither the search nor its counters.
   const bool provenance = telemetry != nullptr && telemetry->wants_decisions();
+  KernelId k = 0;
+  KernelId other = 0;
 
   // merge two sharing-connected groups
-  if (rng.next_bool(config_.mutation_merge_rate) && plan.num_groups() >= 2) {
-    const KernelId k =
-        static_cast<KernelId>(rng.next_below(static_cast<std::uint64_t>(plan.num_kernels())));
-    const auto& neighbours = checker.sharing().neighbours(k);
-    if (!neighbours.empty()) {
-      const KernelId other = neighbours[rng.next_below(neighbours.size())];
-      const int ga = plan.group_of(k);
-      const int gb = plan.group_of(other);
-      if (ga != gb) {
-        std::vector<KernelId>& merged = scratch_.members;
-        merged.assign(plan.group(ga).begin(), plan.group(ga).end());
-        merged.insert(merged.end(), plan.group(gb).begin(), plan.group(gb).end());
-        if (checker.group_is_legal(merged) && checker.merge_is_schedulable(plan, ga, gb)) {
-          if (provenance) {
-            std::sort(merged.begin(), merged.end());
-            const double delta =
-                (objective_.inspect_group_cost(merged).cost_s -
-                 objective_.inspect_group_cost(plan.group(ga)).cost_s) -
-                objective_.inspect_group_cost(plan.group(gb)).cost_s;
-            telemetry->decisions->record(DecisionLog::Site::MutationMerge,
-                                         true, merged, delta,
-                                         objective_.dominant_component(merged));
-          }
-          plan.merge_groups(ga, gb);
-          ++applied;
-        }
-      }
-    }
-  }
-
-  // split a fused group into singletons
-  if (rng.next_bool(config_.mutation_split_rate)) {
-    std::vector<int>& fused = scratch_.fused_groups;
-    fused.clear();
-    for (int g = 0; g < plan.num_groups(); ++g) {
-      if (plan.group(g).size() >= 2) fused.push_back(g);
-    }
-    if (!fused.empty()) {
-      const int victim = fused[rng.next_below(fused.size())];
+  if (rng.next_bool(kMutationMergeRate) && plan.num_groups() >= 2 &&
+      draw_neighbour_pair(checker, rng, k, other)) {
+    const int ga = plan.group_of(k);
+    const int gb = plan.group_of(other);
+    if (merge_is_legal(checker, plan, ga, gb, members)) {
       if (provenance) {
-        const auto group = plan.group(victim);
-        double singleton_sum = 0.0;
-        for (KernelId k : group) singleton_sum += objective_.original_time(k);
-        const double delta =
-            singleton_sum - objective_.inspect_group_cost(group).cost_s;
-        telemetry->decisions->record(DecisionLog::Site::MutationSplit, true,
-                                     group, delta,
-                                     objective_.dominant_component(group));
+        std::sort(members.begin(), members.end());
+        const double delta = (objective_.inspect_group_cost(members).cost_s -
+                              objective_.inspect_group_cost(plan.group(ga)).cost_s) -
+                             objective_.inspect_group_cost(plan.group(gb)).cost_s;
+        telemetry->decisions->record(DecisionLog::Site::MutationMerge, true, members, delta,
+                                     objective_.dominant_component(members));
       }
-      plan.split_group(victim);
+      plan.merge_groups(ga, gb);
       ++applied;
     }
   }
 
+  // split a fused group into singletons
+  int victim = -1;
+  if (rng.next_bool(kMutationSplitRate) &&
+      draw_fused_group(plan, rng, scratch_.fused_groups, victim)) {
+    if (provenance) {
+      const auto group = plan.group(victim);
+      double singleton_sum = 0.0;
+      for (KernelId m : group) singleton_sum += objective_.original_time(m);
+      const double delta = singleton_sum - objective_.inspect_group_cost(group).cost_s;
+      telemetry->decisions->record(DecisionLog::Site::MutationSplit, true, group, delta,
+                                   objective_.dominant_component(group));
+    }
+    plan.split_group(victim);
+    ++applied;
+  }
+
   // move one kernel to a neighbouring group
-  if (rng.next_bool(config_.mutation_move_rate)) {
-    const KernelId k =
-        static_cast<KernelId>(rng.next_below(static_cast<std::uint64_t>(plan.num_kernels())));
-    const auto& neighbours = checker.sharing().neighbours(k);
-    if (!neighbours.empty()) {
-      const KernelId other = neighbours[rng.next_below(neighbours.size())];
-      const int from = plan.group_of(k);
-      const int to = plan.group_of(other);
-      if (from != to) {
-        std::vector<KernelId>& target = scratch_.members;
-        target.assign(plan.group(to).begin(), plan.group(to).end());
-        target.push_back(k);
-        std::sort(target.begin(), target.end());
-        if (checker.group_is_legal(target)) {
-          if (provenance) {
-            const double delta =
-                objective_.inspect_group_cost(target).cost_s -
-                objective_.inspect_group_cost(plan.group(to)).cost_s -
-                objective_.original_time(k);
-            telemetry->decisions->record(DecisionLog::Site::MutationMove, true,
-                                         target, delta,
-                                         objective_.dominant_component(target));
-          }
-          plan.move_kernel(k, to);
-          // Removing k may have broken the source group's convexity or
-          // connectivity; split it if so (split-repair).
-          repair_plan(checker, plan);
-          ++applied;
-        }
+  if (rng.next_bool(kMutationMoveRate) && draw_neighbour_pair(checker, rng, k, other)) {
+    const int to = plan.group_of(other);
+    if (move_is_legal(checker, plan, k, to, members)) {
+      if (provenance) {
+        const double delta = objective_.inspect_group_cost(members).cost_s -
+                             objective_.inspect_group_cost(plan.group(to)).cost_s -
+                             objective_.original_time(k);
+        telemetry->decisions->record(DecisionLog::Site::MutationMove, true, members, delta,
+                                     objective_.dominant_component(members));
       }
+      // Removing k may have broken the source group's convexity or
+      // connectivity; apply_move splits it if so (split-repair).
+      apply_move(checker, plan, k, to);
+      ++applied;
     }
   }
   return applied;
@@ -527,7 +498,7 @@ int Hgga::mutate(Individual& individual, Rng& rng,
 
 SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpointing,
                        const Telemetry* telemetry) {
-  Stopwatch watch;
+  const SearchEpilogue epilogue(objective_);
   SpanTracer::Scope run_span = scoped_span(telemetry, "hgga.run");
   SpanTracer::Scope init_span = scoped_span(telemetry, "hgga.init");
   Rng master(config_.seed);
@@ -536,8 +507,6 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
       checkpointing != nullptr && !checkpointing->file.empty();
 
   SearchResult result;
-  result.baseline_cost_s = objective_.baseline_cost();
-
   auto best_of = [](const std::vector<Individual>& pop) {
     return std::min_element(pop.begin(), pop.end(),
                             [](const auto& a, const auto& b) { return a.cost < b.cost; });
@@ -557,12 +526,18 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     // Resume: restore population, incumbent, counters and the master RNG so
     // the continuation is bit-identical to an uninterrupted run.
     const HggaCheckpoint ckpt = load_checkpoint(checkpointing->file);
-    KF_CHECK(ckpt.num_kernels == program.num_kernels(),
-             "checkpoint was taken for " << ckpt.num_kernels << " kernels, program has "
-                                         << program.num_kernels());
-    KF_CHECK(ckpt.seed == config_.seed,
-             "checkpoint seed " << ckpt.seed << " differs from configured seed "
-                                << config_.seed);
+    const char* file = checkpointing->file.c_str();
+    if (ckpt.num_kernels != program.num_kernels()) {
+      throw CheckpointError(strprintf(
+          "checkpoint '%s' was written for a different program (%d kernels, not %d)",
+          file, ckpt.num_kernels, program.num_kernels()));
+    }
+    if (ckpt.seed != config_.seed) {
+      throw CheckpointError(strprintf(
+          "checkpoint '%s' was written with seed %llu, not %llu", file,
+          static_cast<unsigned long long>(ckpt.seed),
+          static_cast<unsigned long long>(config_.seed)));
+    }
     // Crossover keeps its parents' groups without re-checking them and
     // polish refuses an illegal plan, so every restored plan must be legal.
     auto require_legal = [&](const FusionPlan& plan, const std::string& which) {
@@ -578,9 +553,8 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
         }
         where += '}';
       }
-      throw CheckpointError(strprintf("checkpoint '%s': %s is not a legal plan: %s%s",
-                                      checkpointing->file.c_str(), which.c_str(),
-                                      to_string(verdict), where.c_str()));
+      throw CheckpointError(strprintf("checkpoint '%s': %s is not a legal plan: %s%s", file,
+                                      which.c_str(), to_string(verdict), where.c_str()));
     };
     for (std::size_t i = 0; i < ckpt.population.size(); ++i) {
       require_legal(ckpt.population[i], "individual " + std::to_string(i));
@@ -623,7 +597,7 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     arena.promote_offspring();
     best = *best_of(population);
   }
-  result.time_to_best_s = watch.elapsed_s();
+  result.time_to_best_s = epilogue.elapsed_s();
   init_span.end();
   if (control != nullptr) control->note_best(best.plan, best.cost);
 
@@ -669,14 +643,14 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     if (control != nullptr && control->should_stop()) break;
     SpanTracer::Scope gen_span = scoped_span(telemetry, "hgga.generation");
     SpanTracer::Scope breed_span = scoped_span(telemetry, "hgga.breed");
-    const long evals_at_gen_start = objective_.evaluations();
+    const long evals_at_gen_start = epilogue.evaluations();
     // --- produce offspring (into recycled arena slots) ---
 
     // Elites survive unchanged: partial-select indices instead of copying
     // and fully sorting the population just to pick the top few. Ties break
     // on index so the selection is deterministic across library
     // implementations (std::partial_sort is unstable).
-    const int elites = std::min(config_.elites, static_cast<int>(population.size()));
+    const int elites = std::min(kElites, static_cast<int>(population.size()));
     elite_order.resize(population.size());
     std::iota(elite_order.begin(), elite_order.end(), 0);
     std::partial_sort(elite_order.begin(), elite_order.begin() + elites,
@@ -702,7 +676,7 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
       // is (re)assigned below, reusing the old plan/memo heap buffers.
       Individual& child = arena.next_offspring();
       double parent_cost = std::numeric_limits<double>::quiet_NaN();
-      if (rng.next_bool(config_.crossover_rate)) {
+      if (rng.next_bool(kCrossoverRate)) {
         const Individual& a = tournament(population, rng);
         const Individual& b = tournament(population, rng);
         crossover(a, b, child, rng, telemetry);
@@ -736,7 +710,7 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     const auto it = best_of(population);
     if (it->cost < best.cost - 1e-15) {
       best = *it;
-      result.time_to_best_s = watch.elapsed_s();
+      result.time_to_best_s = epilogue.elapsed_s();
       stall = 0;
       if (control != nullptr) control->note_best(best.plan, best.cost);
     } else {
@@ -763,10 +737,10 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     }
     result.generations = gen + 1;
     if (telemetry != nullptr && telemetry->active()) {
-      note_generation(*telemetry, gen, result.trace.back(), gen_watch.lap_s(),
-                      objective_.evaluations(),
-                      objective_.evaluations() - evals_at_gen_start,
-                      control != nullptr ? control->elapsed_s() : watch.elapsed_s(),
+      const long run_evals = epilogue.evaluations();
+      note_generation(*telemetry, gen, result.trace.back(), gen_watch.lap_s(), run_evals,
+                      run_evals - evals_at_gen_start,
+                      control != nullptr ? control->elapsed_s() : epilogue.elapsed_s(),
                       static_cast<int>(population.size()), stall,
                       objective_.cache_stats());
     }
@@ -788,7 +762,7 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
         local_polish(objective_, result.best, &polished_cost, telemetry);
     if (edits > 0) {
       best.cost = polished_cost;
-      result.time_to_best_s = watch.elapsed_s();
+      result.time_to_best_s = epilogue.elapsed_s();
       if (control != nullptr) control->note_best(result.best, best.cost);
     }
     if (telemetry != nullptr) {
@@ -804,13 +778,8 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
       }
     }
   }
-  result.best.canonicalize();
   result.best_cost_s = best.cost;
-  result.evaluations = objective_.evaluations();
-  result.model_evaluations = objective_.model_evaluations();
-  result.runtime_s = watch.elapsed_s();
-  fill_fault_report(result, objective_, control);
-  return result;
+  return epilogue.finish(std::move(result), control);
 }
 
 }  // namespace kf

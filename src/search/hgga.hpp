@@ -48,9 +48,8 @@ const char* to_string(StopReason reason) noexcept;
 
 /// Resilience telemetry carried by every SearchResult.
 struct FaultReport {
-  long faults = 0;          ///< evaluations that threw and were quarantined
-  long quarantined = 0;     ///< distinct member sets in quarantine
-  std::vector<std::uint64_t> quarantined_fingerprints;
+  long faults = 0;          ///< this run's evaluations that threw and were quarantined
+  long quarantined = 0;     ///< distinct member sets the objective holds in quarantine
   StopReason stop_reason = StopReason::Converged;
 
   bool clean() const noexcept {
@@ -58,17 +57,12 @@ struct FaultReport {
   }
 };
 
+/// The run's size, stop rule and seed. The operator rates, tournament size,
+/// elite count and initial merge aggressiveness are fixed (hgga.cpp).
 struct HggaConfig {
-  int population = 100;
+  int population = 100;          ///< must exceed the 4 elites
   int max_generations = 2000;
   int stall_generations = 200;   ///< stop after this many flat generations
-  double crossover_rate = 0.7;
-  double mutation_merge_rate = 0.35;
-  double mutation_split_rate = 0.10;
-  double mutation_move_rate = 0.20;
-  int tournament_size = 3;
-  int elites = 4;
-  double init_aggressiveness = 0.8;
   /// The "hybrid" in HGGA: steepest-descent local search (merge / move /
   /// split neighbourhood) applied to the final best individual.
   bool local_polish = true;
@@ -96,7 +90,7 @@ struct SearchResult {
   double baseline_cost_s = 0.0;    ///< no-fusion plan cost
   int generations = 0;
   long evaluations = 0;            ///< objective calls during this run
-  long model_evaluations = 0;      ///< cache misses (actual model runs)
+  long model_evaluations = 0;      ///< this run's cache misses (actual model runs)
   double runtime_s = 0.0;
   double time_to_best_s = 0.0;     ///< wall time when the best was first seen
   std::vector<double> history;     ///< best cost per generation

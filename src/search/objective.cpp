@@ -69,7 +69,8 @@ Objective::GroupCost Objective::quarantine_cost(std::span<const KernelId> group)
 }
 
 Objective::GroupCost Objective::compute_group_cost(std::span<const KernelId> group,
-                                                   const LaunchDescriptor* built) const {
+                                                   const LaunchDescriptor*& built,
+                                                   LaunchDescriptor& own) const {
   GroupCost out;
   if (group.size() == 1) {
     out.cost_s = original_time(group[0]);
@@ -80,7 +81,6 @@ Objective::GroupCost Objective::compute_group_cost(std::span<const KernelId> gro
   double original_sum = 0.0;
   for (KernelId k : group) original_sum += original_time(k);
 
-  LaunchDescriptor own;
   if (built == nullptr || !std::equal(group.begin(), group.end(), built->members.begin(),
                                       built->members.end())) {
     own = checker_.builder().build(group);
@@ -114,9 +114,10 @@ Objective::GroupCost Objective::force_group_cost(std::uint64_t fingerprint,
   // candidate the unprofitable penalty on its original sum and quarantines
   // the member set; logic errors (caller misuse) still propagate.
   bool quarantined = false;
+  LaunchDescriptor own;
   auto guarded = [&]() -> GroupCost {
     try {
-      return compute_group_cost(group, built);
+      return compute_group_cost(group, built, own);
     } catch (const std::runtime_error& e) {
       if (!options_.quarantine_faults) throw;
       quarantined = true;
@@ -144,7 +145,7 @@ Objective::GroupCost Objective::force_group_cost(std::uint64_t fingerprint,
   if (!cache_.insert(fingerprint, GroupCostCache::Entry{cost, quarantined})) {
     duplicate_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  maybe_sample_projection(group, cost);
+  maybe_sample_projection(group, cost, built);
   return cost;
 }
 
@@ -164,8 +165,10 @@ Objective::GroupCost Objective::inspect_group_cost(
   KF_REQUIRE(!group.empty(), "empty group");
   GroupCostCache::Entry entry;
   if (cache_.find(group_fingerprint(group), &entry)) return entry.cost;
+  const LaunchDescriptor* built = nullptr;
+  LaunchDescriptor own;
   try {
-    return compute_group_cost(group, nullptr);
+    return compute_group_cost(group, built, own);
   } catch (const std::runtime_error&) {
     return quarantine_cost(group);
   }
@@ -204,24 +207,24 @@ const char* Objective::dominant_component(std::span<const KernelId> group) const
   }
 }
 
-void Objective::maybe_sample_projection(std::span<const KernelId> group,
-                                        const GroupCost& cost) const {
+void Objective::maybe_sample_projection(std::span<const KernelId> group, const GroupCost& cost,
+                                        const LaunchDescriptor* priced) const {
   const Telemetry* t = telemetry_;
   if (t == nullptr ||
       (t->metrics == nullptr && !t->wants_trace() && t->calibration == nullptr)) {
     return;
   }
   // Only fused groups whose projection was accepted carry a projected time
-  // worth cross-checking (cost_s == Projection::time_s exactly then).
+  // worth cross-checking (cost_s == Projection::time_s exactly then), and
+  // their pricing left the descriptor it projected in `priced`.
   if (group.size() < 2 || !cost.profitable) return;
   if (fused_misses_.fetch_add(1, std::memory_order_relaxed) %
           kProjectionSampleStride != 0) {
     return;
   }
   try {
-    const LaunchDescriptor d = checker_.builder().build(group);
     Stopwatch sw;
-    const SimResult sim = simulator_.run(checker_.program(), d);
+    const SimResult sim = simulator_.run(checker_.program(), *priced);
     const double sim_elapsed = sw.elapsed_s();
     if (!sim.launchable || sim.time_s <= 0.0) return;
     const double rel_error = (cost.cost_s - sim.time_s) / sim.time_s;
@@ -407,10 +410,6 @@ Objective::CacheStats Objective::cache_stats() const {
   stats.entries = cache_.size();
   stats.shards = cache_.shards();
   return stats;
-}
-
-std::vector<std::uint64_t> Objective::quarantined_fingerprints() const {
-  return cache_.quarantined_keys();
 }
 
 void Objective::reset_counters() noexcept {

@@ -138,8 +138,6 @@ class Objective {
   };
   CacheStats cache_stats() const;
 
-  /// Member-set fingerprints of groups whose evaluation threw (sorted).
-  std::vector<std::uint64_t> quarantined_fingerprints() const;
   void reset_counters() noexcept;
 
   /// Observability (optional, null disables): evaluation counters, per-kind
@@ -180,13 +178,17 @@ class Objective {
   /// Losing an insert race is counted in CacheStats::duplicate_misses.
   GroupCost force_group_cost(std::uint64_t fingerprint, std::span<const KernelId> group,
                              const LaunchDescriptor* built = nullptr) const;
+  /// Prices a group from `built` when its members equal `group`, else from
+  /// a fresh build into `own`; `built` is left pointing at the descriptor a
+  /// fused group was projected from.
   GroupCost compute_group_cost(std::span<const KernelId> group,
-                               const LaunchDescriptor* built) const;
+                               const LaunchDescriptor*& built, LaunchDescriptor& own) const;
   GroupCost quarantine_cost(std::span<const KernelId> group) const;
   void note_fault(std::span<const KernelId> group, std::uint64_t fingerprint,
                   const char* what) const;
-  void maybe_sample_projection(std::span<const KernelId> group,
-                               const GroupCost& cost) const;
+  /// `priced`: the descriptor compute_group_cost projected the group from.
+  void maybe_sample_projection(std::span<const KernelId> group, const GroupCost& cost,
+                               const LaunchDescriptor* priced) const;
 };
 
 }  // namespace kf

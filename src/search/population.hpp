@@ -1,6 +1,6 @@
 // Population utilities shared by the evolutionary and baseline searches:
-// random legal plan generation, legality-preserving repair, and the SoA
-// population arena the HGGA breeds into.
+// random legal plan generation, legality-preserving repair, the edit set
+// they all draw from, and the SoA population arena the HGGA breeds into.
 //
 // The arena exists because offspring churn used to dominate the breed span:
 // every generation allocated a fresh vector<Individual>, and every child a
@@ -26,17 +26,45 @@ namespace kf {
 /// so the generator covers everything from near-identity plans to
 /// near-maximal fusions.
 FusionPlan random_legal_plan(const LegalityChecker& checker, Rng& rng,
-                             double aggressiveness = 0.8);
+                             double aggressiveness);
 
 /// Makes `plan` legal: splits every illegal group into singletons
 /// (singletons are always legal), then runs break_cycles. Returns the
-/// number of groups split.
+/// number of groups split; plan_is_legal accepts the plan afterwards.
 int repair_plan(const LegalityChecker& checker, FusionPlan& plan);
 
 /// For a plan whose groups are all legal: while the group quotient has a
 /// cycle, splits the largest fused group on one, which leaves the plan
 /// legal. Returns the number of groups split.
 int break_cycles(const LegalityChecker& checker, FusionPlan& plan);
+
+// The legality-preserving edit set every randomized search draws from:
+// the HGGA's mutations, annealing's steps and random_legal_plan's merges.
+// Each edit is checked before it is applied, so a legal plan stays legal.
+
+/// Draws kernel k uniformly and, when k has sharing neighbours, one of them
+/// as `other`. Returns false (after the first draw) when k has none.
+bool draw_neighbour_pair(const LegalityChecker& checker, Rng& rng, KernelId& k,
+                         KernelId& other);
+
+/// Draws one fused group uniformly into `out`; false (no draw) when the plan
+/// has none. `fused` is scratch for the fused group indices.
+bool draw_fused_group(const FusionPlan& plan, Rng& rng, std::vector<int>& fused, int& out);
+
+/// Whether merging groups ga and gb keeps `plan` legal: they differ, their
+/// union (left in `merged`, ga's members first) is a legal group, and the
+/// merged plan stays schedulable.
+bool merge_is_legal(const LegalityChecker& checker, const FusionPlan& plan, int ga, int gb,
+                    std::vector<KernelId>& merged);
+
+/// Whether kernel k may move into group `to`: k is not in it, and `to` with
+/// k (left sorted in `target`) is a legal group. What the move leaves behind
+/// may be illegal or unschedulable; apply_move repairs it.
+bool move_is_legal(const LegalityChecker& checker, const FusionPlan& plan, KernelId k,
+                   int to, std::vector<KernelId>& target);
+
+/// Moves k into group `to`, then repair_plan splits what the move broke.
+void apply_move(const LegalityChecker& checker, FusionPlan& plan, KernelId k, int to);
 
 /// One member of an evolutionary population.
 struct Individual {

@@ -10,7 +10,6 @@ namespace kf {
 
 struct RandomSearchConfig {
   long samples = 10'000;
-  double aggressiveness = 0.8;
   std::uint64_t seed = 0x5eed;
 };
 

@@ -1,10 +1,10 @@
 #include "serve/postmortem.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 #include <string_view>
+
+#include "util/string_util.hpp"
 
 namespace kf {
 
@@ -57,15 +57,6 @@ class CauseSet {
   std::vector<PostmortemCause> causes_;
 };
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  return std::string(buf);
-}
-
 const char* signal_name(int sig) {
   switch (sig) {
     case 4: return "SIGILL";
@@ -83,15 +74,15 @@ void add_reason_cause(CauseSet& set, IncidentReason reason, int signal,
   switch (reason) {
     case IncidentReason::kSignal:
       set.add("fatal_signal", kScoreFatalSignal * scale,
-              fmt("process received fatal %s (%d) mid-serve",
-                  signal_name(signal), signal));
+              strprintf("process received fatal %s (%d) mid-serve",
+                        signal_name(signal), signal));
       break;
     case IncidentReason::kStalledWorker:
       if (trigger != nullptr)
         set.add("stalled_worker", kScoreStalledWorker * scale,
-                fmt("worker %d stuck %.3fs on job %lld",
-                    trigger->worker_id, trigger->age_s,
-                    static_cast<long long>(trigger->stalled_seq)));
+                strprintf("worker %d stuck %.3fs on job %lld",
+                          trigger->worker_id, trigger->age_s,
+                          static_cast<long long>(trigger->stalled_seq)));
       else
         set.add("stalled_worker", kScoreStalledWorker * scale,
                 "watchdog reported a worker past the stall threshold");
@@ -103,16 +94,16 @@ void add_reason_cause(CauseSet& set, IncidentReason reason, int signal,
     case IncidentReason::kSloBurn:
       set.add("slo_burn", kScoreSloBurn * scale,
               trigger != nullptr
-                  ? fmt("SLO burn rate %.3f crossed the watchdog ceiling",
-                        trigger->burn)
+                  ? strprintf("SLO burn rate %.3f crossed the watchdog ceiling",
+                              trigger->burn)
                   : std::string(
                         "SLO burn rate crossed the watchdog ceiling"));
       break;
     case IncidentReason::kDeadlineSpike:
       set.add("deadline_miss_spike", kScoreDeadlineSpike * scale,
               trigger != nullptr
-                  ? fmt("%lld deadline misses within one watchdog scan",
-                        static_cast<long long>(trigger->stalled_seq))
+                  ? strprintf("%lld deadline misses within one watchdog scan",
+                              static_cast<long long>(trigger->stalled_seq))
                   : std::string("deadline misses spiked within one scan"));
       break;
     case IncidentReason::kNone:
@@ -182,37 +173,37 @@ PostmortemReport analyze_bundle(const FlightBundle& bundle) {
   // State-page anomalies (trigger-independent).
   if (s.queue_capacity > 0 && s.queue_depth >= s.queue_capacity)
     causes.add("queue_saturation", kScoreQueueSaturation,
-               fmt("queue full at capture (%lld/%lld)",
-                   static_cast<long long>(s.queue_depth),
-                   static_cast<long long>(s.queue_capacity)));
+               strprintf("queue full at capture (%lld/%lld)",
+                         static_cast<long long>(s.queue_depth),
+                         static_cast<long long>(s.queue_capacity)));
   else if (s.rejected_overload_total > 0)
     causes.add("queue_saturation", kScoreRejectAnomaly,
-               fmt("%lld requests shed to the rejected_overload floor",
-                   static_cast<long long>(s.rejected_overload_total)));
+               strprintf("%lld requests shed to the rejected_overload floor",
+                         static_cast<long long>(s.rejected_overload_total)));
   if (s.store_salvaged > 0 || s.store_quarantined > 0)
     causes.add("store_corruption", kScoreStoreCorruption,
-               fmt("store recovery salvaged=%lld quarantined=%lld",
-                   static_cast<long long>(s.store_salvaged),
-                   static_cast<long long>(s.store_quarantined)));
+               strprintf("store recovery salvaged=%lld quarantined=%lld",
+                         static_cast<long long>(s.store_salvaged),
+                         static_cast<long long>(s.store_quarantined)));
   if (s.worst_burn > 1.0)
     causes.add("slo_burn", kScoreBurnAnomaly,
-               fmt("worst SLO window burn rate %.3f > 1", s.worst_burn));
+               strprintf("worst SLO window burn rate %.3f > 1", s.worst_burn));
   if (s.requests_total > 0 && s.deadline_missed_total > 0 &&
       s.deadline_missed_total * 4 >= s.requests_total)
     causes.add("deadline_miss_spike", kScoreMissAnomaly,
-               fmt("%lld of %lld requests missed their deadline",
-                   static_cast<long long>(s.deadline_missed_total),
-                   static_cast<long long>(s.requests_total)));
+               strprintf("%lld of %lld requests missed their deadline",
+                         static_cast<long long>(s.deadline_missed_total),
+                         static_cast<long long>(s.requests_total)));
   if (s.retries_total > 0 && s.retries_total * 4 >= s.requests_total)
     causes.add("fault_storm", kScoreFaultStorm,
-               fmt("%lld search retries across %lld requests",
-                   static_cast<long long>(s.retries_total),
-                   static_cast<long long>(s.requests_total)));
+               strprintf("%lld search retries across %lld requests",
+                         static_cast<long long>(s.retries_total),
+                         static_cast<long long>(s.requests_total)));
   if (s.coalesce_timeout_total > 0)
     causes.add("coalesce_timeout", kScoreCoalesceTimeout,
-               fmt("%lld coalesce-leader timeouts (follower waits expired "
-                   "or the leader threw)",
-                   static_cast<long long>(s.coalesce_timeout_total)));
+               strprintf("%lld coalesce-leader timeouts (follower waits expired "
+                         "or the leader threw)",
+                         static_cast<long long>(s.coalesce_timeout_total)));
   if (s.calibration_drift != 0)
     causes.add("calibration_drift", kScoreCalibrationDrift,
                "calibration tracker flagged predicted-vs-measured drift");
@@ -237,10 +228,10 @@ PostmortemReport analyze_bundle(const FlightBundle& bundle) {
     if (report.failing.deadline_s > 0.0 &&
         report.failing.age_s > report.failing.deadline_s)
       causes.add("stalled_worker", kScoreStalledInflight,
-                 fmt("in-flight request on worker %d aged %.3fs past its "
-                     "%.3fs deadline",
-                     report.failing.worker_id, report.failing.age_s,
-                     report.failing.deadline_s));
+                 strprintf("in-flight request on worker %d aged %.3fs past its "
+                           "%.3fs deadline",
+                           report.failing.worker_id, report.failing.age_s,
+                           report.failing.deadline_s));
   } else {
     const FlightRecord* worst = nullptr;
     auto badness = [](const FlightServePayload& p) {
@@ -384,16 +375,16 @@ std::string PostmortemReport::render() const {
     out += "  unreadable: not a flight-recorder bundle\n";
     return out;
   }
-  out += fmt("  reason: %s", to_string(reason));
+  out += strprintf("  reason: %s", to_string(reason));
   if (reason == IncidentReason::kSignal)
-    out += fmt(" (%s, signal %d)", signal_name(signal), signal);
-  out += fmt(", captured at t=%.3fs\n", captured_s);
-  out += fmt("  ring: %ld valid records, %ld quarantined, %ld empty slots",
-             valid_records, quarantined, empty_slots);
+    out += strprintf(" (%s, signal %d)", signal_name(signal), signal);
+  out += strprintf(", captured at t=%.3fs\n", captured_s);
+  out += strprintf("  ring: %ld valid records, %ld quarantined, %ld empty slots",
+                   valid_records, quarantined, empty_slots);
   if (inflight_quarantined > 0)
-    out += fmt(", %ld in-flight entries quarantined", inflight_quarantined);
+    out += strprintf(", %ld in-flight entries quarantined", inflight_quarantined);
   out += truncated ? " (TRUNCATED bundle)\n" : "\n";
-  out += fmt(
+  out += strprintf(
       "  state: requests=%lld missed=%lld degraded=%lld rejected=%lld "
       "retries=%lld queue=%lld/%lld workers=%lld inflight=%lld burn=%.3f\n",
       static_cast<long long>(state.requests_total),
@@ -409,39 +400,39 @@ std::string PostmortemReport::render() const {
   out += "  ranked causes:\n";
   int rank = 1;
   for (const PostmortemCause& c : causes)
-    out += fmt("    %d. %-20s %.2f  %s\n", rank++, c.cause.c_str(), c.score,
-               c.evidence.c_str());
+    out += strprintf("    %d. %-20s %.2f  %s\n", rank++, c.cause.c_str(), c.score,
+                     c.evidence.c_str());
 
   if (failing.found) {
     char hex[33];
     failing.trace.format(hex);
-    out += fmt("  failing request: trace=%s seq=%ld worker=%d %s=%.3fs "
-               "deadline=%.3fs\n",
-               hex, failing.seq, failing.worker_id,
-               failing.in_flight ? "in-flight age" : "latency",
-               failing.age_s, failing.deadline_s);
+    out += strprintf("  failing request: trace=%s seq=%ld worker=%d %s=%.3fs "
+                     "deadline=%.3fs\n",
+                     hex, failing.seq, failing.worker_id,
+                     failing.in_flight ? "in-flight age" : "latency",
+                     failing.age_s, failing.deadline_s);
     out += "    stage ledger:";
     for (int i = 0; i < RequestContext::kNumStages; ++i)
       if (failing.stage_s[i] > 0.0)
-        out += fmt(" %s=%.4fs", RequestContext::stage_name(i),
-                   failing.stage_s[i]);
+        out += strprintf(" %s=%.4fs", RequestContext::stage_name(i),
+                         failing.stage_s[i]);
     out += "\n";
   } else {
     out += "  failing request: none identified (no in-flight entries, no "
            "serve records)\n";
   }
 
-  out += fmt("  last decisions (%s):\n",
-             decisions_trace_scoped ? "failing trace" : "global tail");
+  out += strprintf("  last decisions (%s):\n",
+                   decisions_trace_scoped ? "failing trace" : "global tail");
   if (decisions.empty()) out += "    (none in ring)\n";
   for (const PostmortemDecision& d : decisions) {
     char hex[33];
     d.trace.format(hex);
-    out += fmt("    [%llu] t=%.3fs site=%d %s members=%d dcost=%+.3e "
-               "dominant=%s trace=%.8s\n",
-               static_cast<unsigned long long>(d.ring_seq), d.t_s, d.site,
-               d.accepted ? "accepted" : "rejected", d.member_count,
-               d.cost_delta_s, d.dominant.c_str(), hex);
+    out += strprintf("    [%llu] t=%.3fs site=%d %s members=%d dcost=%+.3e "
+                     "dominant=%s trace=%.8s\n",
+                     static_cast<unsigned long long>(d.ring_seq), d.t_s, d.site,
+                     d.accepted ? "accepted" : "rejected", d.member_count,
+                     d.cost_delta_s, d.dominant.c_str(), hex);
   }
   return out;
 }

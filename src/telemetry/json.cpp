@@ -10,39 +10,6 @@
 
 namespace kf {
 
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  // Fast path: event types, keys and hex trace ids never need escaping, so
-  // one scan + one bulk append covers almost every string on the wide-event
-  // emission path.
-  std::size_t clean = 0;
-  while (clean < text.size()) {
-    const unsigned char c = static_cast<unsigned char>(text[clean]);
-    if (c == '"' || c == '\\' || c < 0x20) break;
-    ++clean;
-  }
-  out.append(text.data(), clean);
-  text.remove_prefix(clean);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";  // JSON has no NaN/Inf; null keeps consumers parsing

@@ -91,9 +91,6 @@ class JsonValue {
   void write(std::string& out, int indent, int depth) const;
 };
 
-/// Appends a JSON string literal (quotes + escapes) for `text` to `out`.
-void append_json_string(std::string& out, std::string_view text);
-
 /// Appends a JSON number for `v` (integer form when exact, null when
 /// non-finite) to `out`.
 void append_json_number(std::string& out, double v);

@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "gpu/timing_simulator.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
@@ -13,12 +14,6 @@
 
 namespace kf {
 namespace {
-
-/// Component fields a "group_breakdown" event may carry, in display order.
-constexpr const char* kBreakdownComponents[] = {
-    "gmem_traffic_s", "halo_s", "latency_stall_s", "smem_s",
-    "barrier_s",      "compute_s", "launch_s",
-};
 
 std::vector<long> members_of(const JsonValue& event) {
   std::vector<long> members;
@@ -119,9 +114,11 @@ void RunReport::ingest_event(const JsonValue& event) {
     row.name = event.string_or("name", "");
     row.members = members_of(event);
     row.total_s = event.number_or("total_s", 0);
-    for (const char* component : kBreakdownComponents) {
-      if (const JsonValue* v = event.find(component); v != nullptr && v->is_number()) {
-        row.components.emplace_back(component, v->as_number());
+    for (int c = 0; c < TimeBreakdown::kComponents; ++c) {
+      const char* name = TimeBreakdown::component_name(c);
+      if (const JsonValue* v = event.find(std::string(name) + "_s");
+          v != nullptr && v->is_number()) {
+        row.components.emplace_back(name, v->as_number());
       }
     }
     groups.push_back(std::move(row));
@@ -385,20 +382,18 @@ std::string RunReport::render(int top_k) const {
     os << "\ntop " << shown << " of " << ranked.size()
        << " groups by predicted time (component share of total):\n";
     std::vector<std::string> headers = {"group", "members", "time"};
-    for (const char* component : kBreakdownComponents) {
-      std::string h(component);
-      if (h.size() > 2 && h.ends_with("_s")) h.resize(h.size() - 2);
-      headers.push_back(h);
+    for (int c = 0; c < TimeBreakdown::kComponents; ++c) {
+      headers.push_back(TimeBreakdown::component_name(c));
     }
     TextTable table(std::move(headers));
     for (std::size_t i = 0; i < shown; ++i) {
       const GroupRow& g = *ranked[i];
       std::vector<std::string> row = {g.name, members_text(g.members),
                                       human_time(g.total_s)};
-      for (const char* component : kBreakdownComponents) {
+      for (int c = 0; c < TimeBreakdown::kComponents; ++c) {
         double value = 0.0;
         for (const auto& [name, v] : g.components) {
-          if (name == component) value = v;
+          if (name == TimeBreakdown::component_name(c)) value = v;
         }
         row.push_back(g.total_s > 0.0 ? fixed(100.0 * value / g.total_s, 1) + "%"
                                       : "-");
@@ -505,115 +500,6 @@ std::string RunReport::render(int top_k) const {
     os << "(no recognised telemetry in the given files)\n";
   }
   return os.str();
-}
-
-JsonValue RunReport::to_json() const {
-  JsonValue root = JsonValue::object();
-  JsonValue run = JsonValue::object();
-  run.set("program", program);
-  run.set("method", method);
-  run.set("objective", objective);
-  run.set("device", device);
-  run.set("stop_reason", stop_reason);
-  run.set("best_cost_s", best_cost_s);
-  run.set("baseline_cost_s", baseline_cost_s);
-  run.set("projected_speedup", projected_speedup());
-  run.set("runtime_s", runtime_s);
-  run.set("generations", generations);
-  run.set("evaluations", evaluations);
-  run.set("faults", faults);
-  if (cache_hit_rate >= 0.0) {
-    run.set("cache_hit_rate", cache_hit_rate);
-    run.set("cache_hits", cache_hits);
-    run.set("cache_misses", cache_misses);
-    run.set("cache_incremental_hits", cache_incremental_hits);
-    run.set("cache_duplicate_misses", cache_duplicate_misses);
-    run.set("cache_shard_contention", cache_shard_contention);
-  }
-  root.set("run", std::move(run));
-
-  JsonValue curve = JsonValue::array();
-  for (const GenerationSample& s : convergence) {
-    JsonValue g = JsonValue::object();
-    g.set("gen", s.generation);
-    g.set("best_cost_s", s.best_cost_s);
-    g.set("mean_cost_s", s.mean_cost_s);
-    g.set("distinct_plans", s.distinct_plans);
-    curve.push_back(std::move(g));
-  }
-  root.set("convergence", std::move(curve));
-  root.set("quarantined_groups", static_cast<long>(quarantines.size()));
-  root.set("group_breakdowns", static_cast<long>(groups.size()));
-
-  if (!decisions.empty()) {
-    JsonValue sites = JsonValue::array();
-    for (const DecisionCount& d : decisions) {
-      JsonValue s = JsonValue::object();
-      s.set("site", d.site);
-      s.set("accepted", d.accepted);
-      s.set("rejected", d.rejected);
-      sites.push_back(std::move(s));
-    }
-    JsonValue block = JsonValue::object();
-    block.set("total", decisions_total);
-    block.set("accepted_cost_delta_s", accepted_cost_delta_s);
-    block.set("sites", std::move(sites));
-    root.set("decisions", std::move(block));
-  }
-  if (has_calibration) {
-    JsonValue block = JsonValue::object();
-    block.set("samples", calibration_samples);
-    block.set("drift_band", calibration_drift_band);
-    block.set("drift_warnings", static_cast<long>(drift_warnings.size()));
-    JsonValue buckets = JsonValue::array();
-    for (const CalibrationBucket& b : calibration) {
-      JsonValue row = JsonValue::object();
-      row.set("group_size", b.group_size);
-      row.set("count", b.count);
-      row.set("mean_rel_error", b.mean_rel_error);
-      row.set("sign_bias", b.sign_bias);
-      row.set("drift", b.drift);
-      buckets.push_back(std::move(row));
-    }
-    block.set("buckets", std::move(buckets));
-    root.set("calibration", std::move(block));
-  }
-  if (has_serve) {
-    JsonValue block = JsonValue::object();
-    block.set("requests", serve_requests > 0 ? serve_requests : serve_wide_events);
-    block.set("deadline_misses",
-              serve_requests > 0 ? serve_deadline_misses : serve_event_misses);
-    block.set("degraded",
-              serve_requests > 0 ? serve_degraded : serve_event_degraded);
-    block.set("queued", serve_queued);
-    block.set("rejected", serve_rejected);
-    block.set("retries", serve_retries);
-    block.set("wide_events", serve_wide_events);
-    block.set("traced", serve_traced);
-    JsonValue rungs = JsonValue::array();
-    for (const ServeRungStats& r : serve_rungs) {
-      JsonValue row = JsonValue::object();
-      row.set("rung", r.rung);
-      row.set("requests", r.counter_requests > 0
-                              ? r.counter_requests
-                              : static_cast<long>(r.latencies_s.size()));
-      row.set("deadline_misses", r.deadline_misses);
-      row.set("traced", r.traced);
-      if (!r.latencies_s.empty()) {
-        std::vector<double> sorted = r.latencies_s;
-        std::sort(sorted.begin(), sorted.end());
-        row.set("p50_s", percentile(sorted, 50));
-        row.set("p95_s", percentile(sorted, 95));
-        row.set("p99_s", percentile(sorted, 99));
-      }
-      if (r.has_headroom) row.set("min_headroom", r.worst_headroom);
-      rungs.push_back(std::move(row));
-    }
-    block.set("rungs", std::move(rungs));
-    root.set("serve", std::move(block));
-  }
-  if (has_slo) root.set("slo", slo.to_json());
-  return root;
 }
 
 }  // namespace kf

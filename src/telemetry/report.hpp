@@ -9,8 +9,7 @@
 // serve.*/store.* metric families, the per-request "serve_request" wide
 // events and the kfc-metrics/v3 "slo" block fold into a per-rung latency
 // percentile table. The renderer produces the human tables (convergence
-// curve, stop reason, fault clusters, top-k groups, serving rungs);
-// to_json() re-exports the aggregate for machine consumers.
+// curve, stop reason, fault clusters, top-k groups, serving rungs).
 #pragma once
 
 #include <string>
@@ -71,7 +70,8 @@ struct RunReport {
     std::string name;
     std::vector<long> members;
     double total_s = 0.0;
-    /// (component name, seconds) in emission order, e.g. "gmem_traffic_s".
+    /// (TimeBreakdown::component_name, seconds), e.g. "gmem_traffic"; the
+    /// event field is the name plus "_s".
     std::vector<std::pair<std::string, double>> components;
   };
   std::vector<GroupRow> groups;
@@ -167,8 +167,6 @@ struct RunReport {
   /// fault clusters, top_k groups by predicted-time component, and (for
   /// serving runs) the per-rung latency percentile table plus SLO burn.
   std::string render(int top_k = 5) const;
-
-  JsonValue to_json() const;
 };
 
 }  // namespace kf

@@ -26,6 +26,7 @@
 
 #include "telemetry/json.hpp"
 #include "util/stopwatch.hpp"
+#include "util/string_util.hpp"
 
 namespace kf {
 

@@ -6,30 +6,6 @@
 
 namespace kf {
 
-// Local minimal JSON string escape: util sits below telemetry in the layer
-// stack, so this cannot reuse telemetry/json.hpp. Names here are kernel and
-// phase identifiers, but escape defensively anyway.
-void ChromeTraceWriter::append_escaped(std::string_view s) {
-  out_ += '"';
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out_ += "\\\""; break;
-      case '\\': out_ += "\\\\"; break;
-      case '\n': out_ += "\\n"; break;
-      case '\t': out_ += "\\t"; break;
-      case '\r': out_ += "\\r"; break;
-      default:
-        if (u < 0x20) {
-          out_ += strprintf("\\u%04x", u);
-        } else {
-          out_ += c;
-        }
-    }
-  }
-  out_ += '"';
-}
-
 void ChromeTraceWriter::begin_event() {
   out_ += out_.empty() ? "[\n" : ",\n";
   ++events_;
@@ -41,7 +17,7 @@ void ChromeTraceWriter::process_name(int pid, std::string_view name) {
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
       "\"args\":{\"name\":",
       pid);
-  append_escaped(name);
+  append_json_string(out_, name);
   out_ += "}}";
 }
 
@@ -51,7 +27,7 @@ void ChromeTraceWriter::thread_name(int pid, int tid, std::string_view name) {
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
       "\"args\":{\"name\":",
       pid, tid);
-  append_escaped(name);
+  append_json_string(out_, name);
   out_ += "}}";
 }
 
@@ -65,9 +41,9 @@ void ChromeTraceWriter::complete_event(std::string_view name,
   if (!std::isfinite(dur_us)) dur_us = 0.0;
   begin_event();
   out_ += "{\"name\":";
-  append_escaped(name);
+  append_json_string(out_, name);
   out_ += ",\"cat\":";
-  append_escaped(cat);
+  append_json_string(out_, cat);
   out_ += strprintf(",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f",
                     pid, tid, ts_us, dur_us);
   if (!args_json.empty()) {

@@ -66,7 +66,6 @@ class ChromeTraceWriter {
 
  private:
   void begin_event();
-  void append_escaped(std::string_view s);
 
   std::string out_;
   long events_ = 0;

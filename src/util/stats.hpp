@@ -1,4 +1,5 @@
-// Small descriptive-statistics helpers used by benches and tests.
+// Descriptive statistics for benches and telemetry: percentiles of a sorted
+// sample and a running (Welford) summary.
 #pragma once
 
 #include <cstddef>
@@ -7,22 +8,9 @@
 
 namespace kf {
 
-double mean(std::span<const double> xs);
-double variance(std::span<const double> xs);  ///< population variance
-double stdev(std::span<const double> xs);
-double median(std::vector<double> xs);        ///< by value: needs to sort
 /// Linear-interpolation percentile of an ascending range, p in [0, 100]:
 /// 0 when empty, the sample itself when there is one.
 double percentile(std::span<const double> sorted, double p);
-double geomean(std::span<const double> xs);   ///< requires all xs > 0
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
-
-/// Pearson correlation coefficient; requires equal, non-trivial lengths.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Mean absolute percentage error of predictions vs. reference (reference != 0).
-double mape(std::span<const double> reference, std::span<const double> predicted);
 
 /// Running summary accumulator (Welford).
 class RunningStats {

@@ -1,4 +1,4 @@
-// Small string helpers shared by the IR reader/writer and report code.
+// Small string helpers shared by the IR reader/writer, report and JSON code.
 #pragma once
 
 #include <string>
@@ -18,6 +18,9 @@ bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Join items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
+
+/// Appends a JSON string literal (quotes + escapes) for `text` to `out`.
+void append_json_string(std::string& out, std::string_view text);
 
 /// printf-style formatting into std::string.
 std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -78,33 +78,6 @@ std::string TextTable::to_string() const {
   return os.str();
 }
 
-std::string TextTable::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find(',') == std::string::npos && s.find('"') == std::string::npos) return s;
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) os << ',';
-    os << quote(headers_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << quote(row[c]);
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
 std::ostream& operator<<(std::ostream& os, const TextTable& table) {
   return os << table.to_string();
 }

@@ -1,8 +1,7 @@
-// Aligned text tables + CSV emission for bench reports.
+// Aligned text tables for bench reports.
 //
 // Every bench binary prints paper-style tables through TextTable so that
-// `bench_output.txt` is readable, and can optionally mirror rows into a CSV
-// for plotting.
+// `bench_output.txt` is readable.
 #pragma once
 
 #include <iosfwd>
@@ -28,9 +27,6 @@ class TextTable {
 
   /// Render with a header rule and right-aligned numeric-looking cells.
   std::string to_string() const;
-
-  /// Comma-separated form (quotes cells containing commas).
-  std::string to_csv() const;
 
   static std::string to_cell(const std::string& s) { return s; }
   static std::string to_cell(const char* s) { return s; }

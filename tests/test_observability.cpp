@@ -469,6 +469,82 @@ TEST(Observability, HggaSameSeedBitIdenticalWithSinksAttached) {
   EXPECT_TRUE(saw_crossover);
 }
 
+TEST(Observability, ProjectionSamplesReuseThePricedDescriptor) {
+  // Twin stacks, so each builder counts the builds of one search alone.
+  TestSuiteConfig suite;
+  suite.kernels = 24;
+  suite.arrays = 48;
+  suite.seed = 7;
+  const Program program = make_testsuite_program(suite);
+  const DeviceSpec device = DeviceSpec::k20x();
+  const TimingSimulator sim(device);
+  const ProposedModel model(device);
+  HggaConfig cfg;
+  cfg.population = 16;
+  cfg.max_generations = 10;
+  cfg.stall_generations = 10;
+  cfg.seed = 42;
+
+  const LegalityChecker bare_checker(program, device);
+  Objective bare(bare_checker, model, sim);
+  const SearchResult plain = Hgga(bare, cfg).run();
+
+  // Every sink that takes projection samples, but no decision log: its
+  // dominant-component attribution simulates groups of its own.
+  const LegalityChecker checker(program, device);
+  Objective instrumented(checker, model, sim);
+  MetricsRegistry metrics;
+  std::ostringstream events;
+  TraceLog trace(events);
+  CalibrationTracker calibration;
+  Telemetry telemetry;
+  telemetry.metrics = &metrics;
+  telemetry.trace = &trace;
+  telemetry.calibration = &calibration;
+  instrumented.set_telemetry(&telemetry);
+  const SearchResult traced = Hgga(instrumented, cfg).run(nullptr, nullptr, &telemetry);
+
+  EXPECT_EQ(traced.best.to_string(), plain.best.to_string());
+  expect_same_counters(traced, instrumented, plain, bare);
+  EXPECT_GT(metrics.counter_value("objective.projection_samples"), 0);
+  EXPECT_GT(calibration.samples(), 0);
+  EXPECT_EQ(checker.builder().fused_builds(), bare_checker.builder().fused_builds());
+}
+
+TEST(Observability, ASecondSearchOnOneObjectiveCountsOnlyItsOwnRun) {
+  // PlanServer keeps one objective per key across requests and retries.
+  PlanContext ctx(motivating_example(), DeviceSpec::k20x());
+  std::ostringstream events;
+  TraceLog trace(events);
+  Telemetry telemetry;
+  telemetry.trace = &trace;
+  ctx.objective.set_telemetry(&telemetry);
+  DriverConfig cfg;
+  cfg.hgga.population = 16;
+  cfg.hgga.max_generations = 5;
+  cfg.hgga.stall_generations = 5;
+  cfg.telemetry = &telemetry;
+  const SearchResult first = SearchDriver(ctx.objective, cfg).run();
+  events.str("");
+  const SearchResult second = SearchDriver(ctx.objective, cfg).run();
+  EXPECT_EQ(second.evaluations, first.evaluations);
+  EXPECT_EQ(second.model_evaluations, 0);
+  // The generation events and search_end count the second run alone (the
+  // last generation precedes the final polish's queries).
+  double last_generation = -1.0;
+  double search_end = -1.0;
+  std::istringstream lines(events.str());
+  for (std::string line; std::getline(lines, line);) {
+    const JsonValue event = JsonValue::parse(line);
+    const std::string type = event.string_or("type", "");
+    if (type == "generation") last_generation = event.number_or("evaluations", -1.0);
+    if (type == "search_end") search_end = event.number_or("evaluations", -1.0);
+  }
+  EXPECT_GT(last_generation, 0.0);
+  EXPECT_LE(last_generation, static_cast<double>(second.evaluations));
+  EXPECT_EQ(search_end, static_cast<double>(second.evaluations));
+}
+
 TEST(Observability, GreedyBitIdenticalWithSinksAttachedAndProvenanceRecorded) {
   const Program program = motivating_example();
   const DeviceSpec device = DeviceSpec::k20x();
@@ -550,10 +626,6 @@ TEST(RunReportObservability, IngestsDecisionAndDriftEvents) {
   EXPECT_NE(rendered.find("greedy_merge"), std::string::npos);
   EXPECT_NE(rendered.find("calibration drift"), std::string::npos);
   EXPECT_NE(rendered.find("5-8"), std::string::npos);
-
-  const JsonValue json = report.to_json();
-  ASSERT_NE(json.find("decisions"), nullptr);
-  EXPECT_EQ(static_cast<long>(json.find("decisions")->number_or("total", 0)), 3);
 }
 
 TEST(RunReportObservability, ParsesCalibrationBlockFromMetricsV2) {
@@ -1118,17 +1190,6 @@ TEST(RunReportServing, IngestsWideEventsIntoPerRungStats) {
   EXPECT_NE(rendered.find("per-rung latency"), std::string::npos);
   EXPECT_NE(rendered.find("store_hit"), std::string::npos);
   EXPECT_NE(rendered.find("full_search"), std::string::npos);
-
-  const JsonValue json = report.to_json();
-  const JsonValue* serve = json.find("serve");
-  ASSERT_NE(serve, nullptr);
-  EXPECT_EQ(static_cast<long>(serve->number_or("requests", 0)), 3);
-  EXPECT_EQ(static_cast<long>(serve->number_or("deadline_misses", 0)), 1);
-  EXPECT_EQ(static_cast<long>(serve->number_or("traced", 0)), 2);
-  const JsonValue* rungs = serve->find("rungs");
-  ASSERT_NE(rungs, nullptr);
-  ASSERT_TRUE(rungs->is_array());
-  EXPECT_EQ(rungs->items().size(), 2u);
 }
 
 TEST(RunReportServing, IngestsV3MetricsCountersHistogramAndSloBlock) {

@@ -62,6 +62,50 @@ TEST_P(SeedSweep, RandomPlansAreFullyLegal) {
   }
 }
 
+TEST_P(SeedSweep, RepairAlwaysYieldsALegalPlan) {
+  // repair_plan's postcondition, which is why no edit re-checks a repaired
+  // plan: from any partition (illegal groups, or legal groups whose
+  // quotient has a cycle) it returns a plan that plan_is_legal accepts.
+  const Program p = make_program(20);
+  const ExpansionResult expansion = expand_arrays(p);
+  const LegalityChecker checker(expansion.program, DeviceSpec::k20x());
+  const int n = checker.program().num_kernels();
+  Rng rng(GetParam() * 131 + 5);
+  int illegal_groups = 0;
+  int cyclic_plans = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    // Every kernel joins one of a few random groups...
+    std::vector<std::vector<KernelId>> buckets(2 + rng.next_below(6));
+    for (KernelId k = 0; k < n; ++k) buckets[rng.next_below(buckets.size())].push_back(k);
+    std::erase_if(buckets, [](const std::vector<KernelId>& g) { return g.empty(); });
+    FusionPlan scattered = FusionPlan::from_groups(n, buckets);
+    // ...or legal groups merge with no schedulability check.
+    FusionPlan merged = random_legal_plan(checker, rng, 0.5);
+    for (int t = 0; t < 3 * n && merged.num_groups() >= 2; ++t) {
+      const auto groups = static_cast<std::uint64_t>(merged.num_groups());
+      const int a = static_cast<int>(rng.next_below(groups));
+      int b = static_cast<int>(rng.next_below(groups - 1));
+      if (b >= a) ++b;
+      std::vector<KernelId> join(merged.group(a).begin(), merged.group(a).end());
+      join.insert(join.end(), merged.group(b).begin(), merged.group(b).end());
+      if (checker.group_is_legal(join)) merged.merge_groups(a, b);
+    }
+    for (FusionPlan* plan : {&scattered, &merged}) {
+      for (int g = 0; g < plan->num_groups(); ++g) {
+        if (plan->group(g).size() >= 2 && !checker.group_is_legal(plan->group(g))) {
+          ++illegal_groups;
+        }
+      }
+      if (!checker.cyclic_groups(*plan).empty()) ++cyclic_plans;
+      repair_plan(checker, *plan);
+      EXPECT_TRUE(checker.plan_is_legal(*plan)) << plan->to_string();
+    }
+  }
+  // Both of repair's passes ran.
+  EXPECT_GT(illegal_groups, 0);
+  EXPECT_GT(cyclic_plans, 0);
+}
+
 TEST_P(SeedSweep, ExpansionRemovesAllWarWaw) {
   const Program p = make_program();
   const ExpansionResult expansion = expand_arrays(p);

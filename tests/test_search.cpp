@@ -256,6 +256,18 @@ TEST(Greedy, LegalAndAtLeastBaseline) {
   EXPECT_LE(result.best_cost_s, result.baseline_cost_s + 1e-15);
 }
 
+TEST(Greedy, ResultsCountOnlyTheirOwnRun) {
+  // A server keeps one objective per key across requests and retries, so a
+  // result must not count the work of searches before it.
+  SearchRig rig = suite_rig(20);
+  const SearchResult first = greedy_search(rig.objective);
+  const SearchResult second = greedy_search(rig.objective);
+  EXPECT_GT(first.model_evaluations, 0);
+  EXPECT_EQ(second.evaluations, first.evaluations);
+  EXPECT_EQ(second.model_evaluations, 0);  // every group is cached by now
+  EXPECT_EQ(second.best.to_string(), first.best.to_string());
+}
+
 TEST(RandomSearch, FindsSomethingLegal) {
   SearchRig rig = suite_rig(15);
   RandomSearchConfig cfg;

@@ -521,9 +521,6 @@ TEST(RunReport, AggregatesEventsAndMetrics) {
   EXPECT_NE(rendered.find("converged"), std::string::npos);
   EXPECT_NE(rendered.find("deadbeef"), std::string::npos);
   EXPECT_NE(rendered.find("Kern_A"), std::string::npos);
-
-  const JsonValue json = report.to_json();
-  EXPECT_EQ(json.find("run")->string_or("stop_reason", ""), "converged");
 }
 
 TEST(RunReport, MalformedJsonlNamesTheLine) {

@@ -505,10 +505,12 @@ struct SearchOutcome {
 /// component into "plan.<component>_s" gauges when metrics are attached.
 void emit_group_breakdowns(const Telemetry& telemetry, const TimingSimulator& sim,
                            const Program& program, const FusedProgram& fused) {
-  double totals[7] = {};
-  static const char* const kNames[7] = {
-      "gmem_traffic_s", "halo_s", "latency_stall_s", "smem_s",
-      "barrier_s",      "compute_s", "launch_s"};
+  constexpr int kComponents = TimeBreakdown::kComponents;
+  double totals[kComponents] = {};
+  std::string fields[kComponents];  // "<component>_s"
+  for (int c = 0; c < kComponents; ++c) {
+    fields[c] = std::string(TimeBreakdown::component_name(c)) + "_s";
+  }
   for (const LaunchDescriptor& d : fused.launches) {
     SimResult sim_result;
     try {
@@ -518,22 +520,19 @@ void emit_group_breakdowns(const Telemetry& telemetry, const TimingSimulator& si
     }
     if (!sim_result.launchable) continue;
     const TimeBreakdown& b = sim_result.breakdown;
-    const double components[7] = {b.gmem_traffic_s, b.halo_s, b.latency_stall_s,
-                                  b.smem_s,         b.barrier_s, b.compute_s,
-                                  b.launch_s};
-    for (int c = 0; c < 7; ++c) totals[c] += components[c];
+    for (int c = 0; c < kComponents; ++c) totals[c] += b.component(c);
     if (telemetry.wants_trace()) {
       telemetry.trace->emit("group_breakdown", [&](TraceEvent& e) {
         JsonValue members = JsonValue::array();
         for (KernelId k : d.members) members.push_back(JsonValue(static_cast<long>(k)));
         e.str("name", d.name).json("members", members).num("total_s", b.total_s);
-        for (int c = 0; c < 7; ++c) e.num(kNames[c], components[c]);
+        for (int c = 0; c < kComponents; ++c) e.num(fields[c], b.component(c));
       });
     }
   }
   if (telemetry.metrics != nullptr) {
-    for (int c = 0; c < 7; ++c) {
-      telemetry.metrics->gauge(std::string("plan.") + kNames[c], totals[c]);
+    for (int c = 0; c < kComponents; ++c) {
+      telemetry.metrics->gauge("plan." + fields[c], totals[c]);
     }
   }
 }
