@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace kf {
 
@@ -224,28 +223,6 @@ void FusionPlan::canonicalize() {
   members_ = std::move(new_members);
   begin_ = std::move(new_begin);
   rebuild_owners();
-}
-
-std::uint64_t FusionPlan::fingerprint() const {
-  // Order-insensitive: combine per-group hashes with XOR; group hash mixes
-  // sorted member ids sequentially. Members are kept sorted by every editing
-  // operation; the rare unsorted group (from_groups with raw input) takes a
-  // small copy-and-sort detour so the value matches the canonical form.
-  std::uint64_t acc = 0x5bd1e995u ^ static_cast<std::uint64_t>(num_kernels_);
-  std::vector<KernelId> scratch;
-  for (int g = 0; g < num_groups(); ++g) {
-    const auto span = group(g);
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    if (std::is_sorted(span.begin(), span.end())) {
-      for (KernelId k : span) h = mix64(h ^ (static_cast<std::uint64_t>(k) + 0x100));
-    } else {
-      scratch.assign(span.begin(), span.end());
-      std::sort(scratch.begin(), scratch.end());
-      for (KernelId k : scratch) h = mix64(h ^ (static_cast<std::uint64_t>(k) + 0x100));
-    }
-    acc ^= h;
-  }
-  return acc;
 }
 
 std::string FusionPlan::to_string() const {

@@ -4,8 +4,8 @@
 // original kernel belongs to exactly one group; a group of size one is an
 // unfused original kernel, larger groups become new kernels. The class
 // maintains the partition invariant under the editing operations the HGGA's
-// operators use (merge / move / split), and provides a canonical form and a
-// fingerprint so populations can deduplicate and memoise solutions.
+// operators use (merge / move / split), and provides a canonical form so
+// plans compare and print independently of group and member order.
 //
 // Storage is SoA: one flat member array plus a group-boundary array (group g
 // is members_[begin_[g], begin_[g+1])) and the kernel->group owner map. A
@@ -57,6 +57,9 @@ class FusionPlan {
   std::span<const std::int32_t> flat_offsets() const noexcept { return begin_; }
 
   int group_of(KernelId k) const;
+  /// The kernel -> group index array group_of reads, for loops that look
+  /// up every edge's endpoints. Invalidated by any editing operation.
+  std::span<const int> owners() const noexcept { return owner_; }
 
   /// Groups with at least two members (new kernels after transformation).
   int fused_group_count() const noexcept;
@@ -77,9 +80,6 @@ class FusionPlan {
 
   /// Sorts members within groups and groups by first member id.
   void canonicalize();
-
-  /// Order-insensitive 64-bit fingerprint of the partition.
-  std::uint64_t fingerprint() const;
 
   std::string to_string() const;
 

@@ -1,6 +1,7 @@
 #include "fusion/legality.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <mutex>
 
 #include "util/error.hpp"
@@ -62,6 +63,25 @@ LegalityVerdict LegalityChecker::check_group(std::span<const KernelId> group,
   return resource_verdict(group, built);
 }
 
+LegalityVerdict LegalityChecker::check_extension(std::span<const KernelId> grown,
+                                                 KernelId added,
+                                                 LaunchDescriptor* built) const {
+  KF_REQUIRE(grown.size() >= 2 &&
+                 std::adjacent_find(grown.begin(), grown.end(), std::greater_equal<>()) ==
+                     grown.end() &&
+                 std::binary_search(grown.begin(), grown.end(), added),
+             "an extended group is strictly ascending and holds the added kernel");
+  // The legal group lies in one phase, so one other member stands for it.
+  const KernelId other = grown[0] != added ? grown[0] : grown[1];
+  if (program_.kernel(added).phase != program_.kernel(other).phase) {
+    return LegalityVerdict::PhaseMismatch;
+  }
+  // (1.5) holds: the legal group is connected, and `added` shares an array
+  // with one of its members.
+  if (!exec_.group_is_convex(grown)) return LegalityVerdict::NotConvex;
+  return resource_verdict(grown, built);
+}
+
 std::size_t LegalityChecker::MaskHash::operator()(
     const std::vector<std::uint64_t>& mask) const noexcept {
   std::uint64_t h = mask.size();
@@ -110,8 +130,10 @@ std::vector<int> LegalityChecker::cyclic_groups(const FusionPlan& plan) const {
     std::vector<int> ready;
   };
   thread_local Scratch s;
+  KF_REQUIRE(plan.num_kernels() == program_.num_kernels(), "plan does not match program");
   const int ng = plan.num_groups();
   const Dag& kernel_dag = exec_.dag();
+  const std::span<const int> owner = plan.owners();
   s.edge_begin.clear();
   s.edges.clear();
   s.indegree.assign(static_cast<std::size_t>(ng), 0);
@@ -120,7 +142,7 @@ std::vector<int> LegalityChecker::cyclic_groups(const FusionPlan& plan) const {
     s.edge_begin.push_back(static_cast<int>(s.edges.size()));
     for (KernelId u : plan.group(gu)) {
       for (int v : kernel_dag.successors(u)) {
-        const int gv = plan.group_of(static_cast<KernelId>(v));
+        const int gv = owner[static_cast<std::size_t>(v)];
         if (gv == gu || s.stamp[static_cast<std::size_t>(gv)] == gu) continue;
         s.stamp[static_cast<std::size_t>(gv)] = gu;
         s.edges.push_back(gv);
@@ -151,6 +173,63 @@ std::vector<int> LegalityChecker::cyclic_groups(const FusionPlan& plan) const {
     }
   }
   return stuck;
+}
+
+bool LegalityChecker::cycle_from(const FusionPlan& plan, std::span<const int> anchors) const {
+  // Three-colour depth-first search of the group quotient, rooted at the
+  // anchors: an edge to a group still on the stack closes a cycle. A frame
+  // walks its group's quotient edges in place — member position, then the
+  // position in that member's successor list — so nothing is materialised.
+  struct Frame {
+    int group;
+    std::int32_t member;  // index into the plan's flat member array
+    std::size_t edge;     // position in that member's successor list
+  };
+  struct Scratch {
+    std::vector<std::uint8_t> colour;  // 0 unvisited, 1 on the stack, 2 done
+    std::vector<Frame> stack;
+  };
+  thread_local Scratch s;
+  KF_REQUIRE(plan.num_kernels() == program_.num_kernels(), "plan does not match program");
+  const int ng = plan.num_groups();
+  const Dag& kernel_dag = exec_.dag();
+  const std::span<const KernelId> members = plan.flat_members();
+  const std::span<const std::int32_t> offsets = plan.flat_offsets();
+  const std::span<const int> owner = plan.owners();
+  s.colour.assign(static_cast<std::size_t>(ng), 0);
+  s.stack.clear();
+  auto enter = [&](int g) {
+    s.colour[static_cast<std::size_t>(g)] = 1;
+    s.stack.push_back({g, offsets[static_cast<std::size_t>(g)], 0});
+  };
+  for (int root : anchors) {
+    KF_REQUIRE(root >= 0 && root < ng, "anchor group " << root << " out of range");
+    if (s.colour[static_cast<std::size_t>(root)] != 0) continue;
+    enter(root);
+    while (!s.stack.empty()) {
+      Frame& f = s.stack.back();
+      const std::int32_t end = offsets[static_cast<std::size_t>(f.group) + 1];
+      int next = -1;
+      for (; f.member < end; ++f.member, f.edge = 0) {
+        const std::vector<int>& succ =
+            kernel_dag.successors(members[static_cast<std::size_t>(f.member)]);
+        while (next < 0 && f.edge < succ.size()) {
+          const int g = owner[static_cast<std::size_t>(succ[f.edge++])];
+          if (g != f.group && s.colour[static_cast<std::size_t>(g)] != 2) next = g;
+        }
+        if (next >= 0) break;
+      }
+      if (next < 0) {
+        s.colour[static_cast<std::size_t>(f.group)] = 2;
+        s.stack.pop_back();
+      } else if (s.colour[static_cast<std::size_t>(next)] == 1) {
+        return true;
+      } else {
+        enter(next);
+      }
+    }
+  }
+  return false;
 }
 
 bool LegalityChecker::edit_closes_cycle(const FusionPlan& plan, int into,

@@ -78,6 +78,15 @@ class LegalityChecker {
     return check_group(group) == LegalityVerdict::Ok;
   }
 
+  /// check_group's verdict, and its descriptor hand-off, for `grown`: a
+  /// legal group plus one kernel `added` that directly shares an array with
+  /// one of its members (crossover's host with an orphan). `grown` must be
+  /// strictly ascending and hold `added` (both checked). Kinship (1.5)
+  /// cannot fail for such a group, so only the phase of `added`, convexity
+  /// and the resource memo are checked.
+  LegalityVerdict check_extension(std::span<const KernelId> grown, KernelId added,
+                                  LaunchDescriptor* built = nullptr) const;
+
   /// Plan-level constraint: per-group convexity does *not* guarantee that
   /// the contracted (group-level) precedence graph is acyclic — two convex,
   /// mutually independent groups can still order-constrain each other both
@@ -90,6 +99,14 @@ class LegalityChecker {
   /// schedulable). Allocates only the result once the calling thread's
   /// scratch is warm.
   std::vector<int> cyclic_groups(const FusionPlan& plan) const;
+
+  /// True iff a cycle of the group quotient is reachable from one of the
+  /// `anchors` (group indices): one depth-first search from them, no
+  /// allocation once the calling thread's scratch is warm. When every
+  /// quotient cycle passes through an anchor — a crossover child, whose
+  /// other groups are whole groups or pieces of one schedulable parent's
+  /// groups — this is exactly !cyclic_groups(plan).empty().
+  bool cycle_from(const FusionPlan& plan, std::span<const int> anchors) const;
 
   /// Schedulability of one edit to a plan that is schedulable now, decided
   /// by one forward search of the group quotient DAG from the edit's target

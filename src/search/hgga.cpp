@@ -5,7 +5,6 @@
 #include <iostream>
 #include <limits>
 #include <numeric>
-#include <set>
 
 #include "search/checkpoint.hpp"
 #include "search/driver.hpp"
@@ -31,13 +30,18 @@ constexpr double kInitAggressiveness = 0.8;
 /// Per-generation telemetry fan-out: metrics series, one "generation" trace
 /// event, and the --progress heartbeat. Only called when telemetry is active.
 void note_generation(const Telemetry& t, int gen, const GenerationStats& s,
-                     double gen_s, long total_evals, long gen_evals,
-                     double elapsed_s, int population, int stall,
+                     const Hgga::BreedCounts& breed, double gen_s, long total_evals,
+                     long gen_evals, double elapsed_s, int population, int stall,
                      const Objective::CacheStats& cache) {
   const double evals_per_s = gen_s > 0.0 ? static_cast<double>(gen_evals) / gen_s : 0.0;
   if (t.metrics != nullptr) {
     t.metrics->count("search.generations");
     t.metrics->count("search.crossovers", s.crossovers);
+    t.metrics->count("search.breed.orphans", breed.orphans);
+    t.metrics->count("search.breed.host_checks", breed.host_checks);
+    t.metrics->count("search.breed.hosts_legal", breed.hosts_legal);
+    t.metrics->count("search.breed.cyclic_children", breed.cyclic_children);
+    t.metrics->count("search.breed.cycle_splits", breed.cycle_splits);
     t.metrics->count("search.crossover_improved", s.crossover_improved);
     t.metrics->count("search.mutations", s.mutations);
     t.metrics->gauge("search.best_cost_s", s.best_cost_s);
@@ -377,22 +381,31 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
       }
     }
   }
-  for (int i = 0; i < injected.size(); ++i) groups.append(injected.group(i));
+  s.anchors.clear();
+  for (int i = 0; i < injected.size(); ++i) {
+    s.anchors.push_back(groups.size());
+    groups.append(injected.group(i));
+  }
   s.owner.assign(static_cast<std::size_t>(a.plan.num_kernels()), -1);
   for (int g = 0; g < groups.size(); ++g) {
     for (KernelId k : groups.group(g)) s.owner[static_cast<std::size_t>(k)] = g;
   }
 
   // Re-insert orphans: best legal host group by marginal cost, else
-  // singleton. Only a group holding a sharing neighbour of k can host it —
-  // any other host fails kinship (1.5) — so those are the only candidates,
-  // visited in ascending group index as a scan of every group would.
+  // singleton. Only a group holding a sharing neighbour of k in k's phase
+  // can host it — any other host fails the phase barrier or kinship (1.5)
+  // before check_group touches its memo — so those are the only
+  // candidates, visited in ascending group index as a scan of every group
+  // would. Each host is a legal group and k shares an array with one of
+  // its members, so check_extension decides.
+  const Program& program = checker.program();
   rng.shuffle(s.orphans);
   for (KernelId k : s.orphans) {
+    const int phase = program.kernel(k).phase;
     s.hosts.clear();
     for (KernelId n : checker.sharing().neighbours(k)) {
       const int g = s.owner[static_cast<std::size_t>(n)];
-      if (g >= 0) s.hosts.push_back(g);
+      if (g >= 0 && program.kernel(n).phase == phase) s.hosts.push_back(g);
     }
     std::sort(s.hosts.begin(), s.hosts.end());
     s.hosts.erase(std::unique(s.hosts.begin(), s.hosts.end()), s.hosts.end());
@@ -402,7 +415,9 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
       const auto host = groups.group(g);
       s.candidate.assign(host.begin(), host.end());
       s.candidate.insert(std::lower_bound(s.candidate.begin(), s.candidate.end(), k), k);
-      if (checker.check_group(s.candidate, &s.built) != LegalityVerdict::Ok) continue;
+      ++s.breed.host_checks;
+      if (checker.check_extension(s.candidate, k, &s.built) != LegalityVerdict::Ok) continue;
+      ++s.breed.hosts_legal;
       const double delta = objective_.group_cost(s.candidate, &s.built).cost_s -
                            objective_.group_cost(host).cost_s;
       if (delta < best_delta) {
@@ -414,18 +429,28 @@ void Hgga::crossover(const Individual& a, const Individual& b, Individual& child
     if (best_group >= 0 && best_delta < solo) {
       groups.insert_member(best_group, k);
       s.owner[static_cast<std::size_t>(k)] = best_group;
+      s.anchors.push_back(best_group);
     } else {
       groups.append_singleton(k);
       s.owner[static_cast<std::size_t>(k)] = groups.size() - 1;
     }
   }
+  s.breed.orphans += static_cast<long>(s.orphans.size());
 
+  // No group is empty, so the child's groups keep their indices (and the
+  // anchors stay valid).
   child.plan.assign_flat(a.plan.num_kernels(), groups.members(), groups.offsets());
   // Every group is legal by construction — a whole group of a legal parent,
-  // an injected group, a host that check_group accepted with its orphans,
-  // or a singleton — and legality is group-local. Only their combination
-  // may be unschedulable, so only the cycle-breaking pass runs.
-  break_cycles(checker, child.plan);
+  // an injected group, a host that check_extension accepted with its
+  // orphans, or a singleton — and legality is group-local. Only their
+  // combination may be unschedulable. Parent a is schedulable, and every
+  // group but the anchors is a whole group of a or a singleton piece of
+  // one, so any quotient cycle passes through an anchor: the search from
+  // the anchors decides whether the cycle-breaking pass has work to do.
+  if (checker.cycle_from(child.plan, s.anchors)) {
+    ++s.breed.cyclic_children;
+    s.breed.cycle_splits += break_cycles(checker, child.plan);
+  }
 }
 
 int Hgga::mutate(Individual& individual, Rng& rng,
@@ -668,6 +693,7 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     // remember their better parent's cost so improvement is measurable
     // after the (parallel) evaluation pass.
     GenerationStats stats;
+    scratch_.breed = BreedCounts{};
     crossover_parent_cost.assign(arena.offspring_count(),
                                  std::numeric_limits<double>::quiet_NaN());
     while (static_cast<int>(arena.offspring_count()) < config_.population) {
@@ -722,24 +748,34 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
       double cost_sum = 0.0;
       double group_sum = 0.0;
       double worst = 0.0;
-      std::set<std::uint64_t> fingerprints;
+      // A plan's key is the sum of its groups' fingerprints: independent of
+      // group order, and distinct for distinct partitions up to a 64-bit
+      // collision, which can only undercount this diagnostic.
+      std::vector<std::uint64_t>& keys = scratch_.plan_keys;
+      keys.clear();
       for (const Individual& ind : population) {
         cost_sum += ind.cost;
         group_sum += ind.plan.num_groups();
         worst = std::max(worst, ind.cost);
-        fingerprints.insert(ind.plan.fingerprint());
+        std::uint64_t key = 0;
+        for (int g = 0; g < ind.plan.num_groups(); ++g) {
+          key += Objective::group_fingerprint(ind.plan.group(g));
+        }
+        keys.push_back(key);
       }
+      std::sort(keys.begin(), keys.end());
       stats.mean_cost_s = cost_sum / static_cast<double>(population.size());
       stats.mean_groups = group_sum / static_cast<double>(population.size());
       stats.worst_cost_s = worst;
-      stats.distinct_plans = static_cast<int>(fingerprints.size());
+      stats.distinct_plans =
+          static_cast<int>(std::unique(keys.begin(), keys.end()) - keys.begin());
       result.trace.push_back(stats);
     }
     result.generations = gen + 1;
     if (telemetry != nullptr && telemetry->active()) {
       const long run_evals = epilogue.evaluations();
-      note_generation(*telemetry, gen, result.trace.back(), gen_watch.lap_s(), run_evals,
-                      run_evals - evals_at_gen_start,
+      note_generation(*telemetry, gen, result.trace.back(), scratch_.breed, gen_watch.lap_s(),
+                      run_evals, run_evals - evals_at_gen_start,
                       control != nullptr ? control->elapsed_s() : epilogue.elapsed_s(),
                       static_cast<int>(population.size()), stall,
                       objective_.cache_stats());

@@ -77,7 +77,7 @@ struct GenerationStats {
   double best_cost_s = 0.0;   ///< best-so-far, monotone
   double mean_cost_s = 0.0;   ///< population mean this generation
   double worst_cost_s = 0.0;  ///< population max this generation
-  int distinct_plans = 0;     ///< unique fingerprints (diversity)
+  int distinct_plans = 0;     ///< distinct partitions (diversity)
   double mean_groups = 0.0;   ///< average launch count across individuals
   int crossovers = 0;          ///< children produced by group crossover
   int crossover_improved = 0;  ///< ... that beat their better parent
@@ -141,6 +141,16 @@ class Hgga {
                    const HggaCheckpointing* checkpointing = nullptr,
                    const Telemetry* telemetry = nullptr);
 
+  /// What crossover did in one generation, emitted as the search.breed.*
+  /// counters: plain integers, counted whether or not a sink is attached.
+  struct BreedCounts {
+    long orphans = 0;          ///< kernels re-inserted after their group dissolved
+    long host_checks = 0;      ///< host-plus-orphan groups checked for legality
+    long hosts_legal = 0;      ///< ... of which were legal
+    long cyclic_children = 0;  ///< children whose group quotient had a cycle
+    long cycle_splits = 0;     ///< groups break_cycles split in those children
+  };
+
  private:
   const Objective& objective_;
   HggaConfig config_;
@@ -156,11 +166,14 @@ class Hgga {
     std::vector<char> taken;        ///< kernels claimed by injected groups
     std::vector<KernelId> orphans;  ///< members of dissolved groups
     std::vector<int> owner;         ///< kernel -> index in `groups` (-1: unplaced orphan)
-    std::vector<int> hosts;         ///< groups holding a sharing neighbour of one orphan
+    std::vector<int> hosts;         ///< groups holding a same-phase sharing neighbour of one orphan
+    std::vector<int> anchors;       ///< injected groups and groups that took an orphan
     std::vector<KernelId> candidate;  ///< host-group trial for one orphan
-    LaunchDescriptor built;         ///< the trial's descriptor, from check_group to group_cost
+    LaunchDescriptor built;         ///< the trial's descriptor, from check_extension to group_cost
     std::vector<KernelId> members;  ///< merge/move member scratch (mutate)
     std::vector<FusionPlan> batch;  ///< dirty offspring plans (evaluate)
+    std::vector<std::uint64_t> plan_keys;  ///< per-plan group-fingerprint sums (diversity)
+    BreedCounts breed;              ///< this generation's crossover counts
   };
   mutable Scratch scratch_;
 

@@ -19,16 +19,20 @@
 #include <omp.h>
 #endif
 
+#include "apps/homme.hpp"
 #include "apps/motivating_example.hpp"
+#include "apps/scale_les.hpp"
 #include "apps/testsuite.hpp"
 #include "model/proposed_model.hpp"
 #include "search/annealing.hpp"
+#include "search/driver.hpp"
 #include "search/exhaustive.hpp"
 #include "search/greedy.hpp"
 #include "search/group_cache.hpp"
 #include "search/hgga.hpp"
 #include "search/population.hpp"
 #include "search/random_search.hpp"
+#include "serve/plan_context.hpp"
 #include "util/fault_injection.hpp"
 
 // ---- global allocation counter (for the arena zero-alloc test) ----
@@ -453,6 +457,101 @@ TEST(CostingPins, FaultQuarantinedSearchesMatchAcrossThreadCounts) {
        0x3f493aeb8ec6601cULL, 10848, 86, 23},
   };
   for (const Pin& pin : pins) expect_pinned(pin, true);
+}
+
+// ---------- golden pins: the headline searches ----------
+//
+// SCALE-LES and HOMME as `kfc search` runs them by default: expanded under
+// an unlimited budget, K20X, population 60, 300 generations, stall 90.
+// Recorded before crossover's same-phase hosts, anchored cycle search and
+// group-fingerprint diversity count; a change to what the search does, not
+// only to how fast, moves one of these.
+
+struct SearchPin {
+  bool homme;  ///< else SCALE-LES
+  std::uint64_t seed;
+  const char* plan;  ///< best.to_string()
+  int generations;
+  long evaluations;
+  long model_evaluations;
+  std::vector<int> distinct_plans;  ///< GenerationStats::distinct_plans, per generation
+};
+
+void expect_pinned(const SearchPin& pin) {
+  const PlanContext ctx(pin.homme ? homme() : scale_les(), DeviceSpec::k20x());
+  DriverConfig config;
+  config.hgga.population = 60;
+  config.hgga.max_generations = 300;
+  config.hgga.stall_generations = 90;
+  config.hgga.seed = pin.seed;
+  const SearchResult got = SearchDriver(ctx.objective, config).run();
+  const std::string label = std::string(pin.homme ? "homme" : "scale-les") + " seed " +
+                            std::to_string(pin.seed);
+  EXPECT_EQ(got.best.to_string(), pin.plan) << label;
+  EXPECT_EQ(got.generations, pin.generations) << label;
+  EXPECT_EQ(got.evaluations, pin.evaluations) << label;
+  EXPECT_EQ(got.model_evaluations, pin.model_evaluations) << label;
+  std::vector<int> distinct;
+  for (const GenerationStats& stats : got.trace) distinct.push_back(stats.distinct_plans);
+  EXPECT_EQ(distinct, pin.distinct_plans) << label;
+}
+
+TEST(SearchPins, ScaleLesAtKfcDefaults) {
+  const SearchPin pins[] = {
+      {false, 7,
+       "{0,1,2,3,4,5,7} {6,10,11,13,15,28,32} {8,14,20,23} {9,12,22,30} "
+       "{16,17,18,25,26,27,31} {19,21,24} {29,33,34,35} {36,37,40,45,55} "
+       "{38,47,48,52,53,56,59} {39,41} {42,43,44,46,49,54,57} {50,63,70} {51,60} "
+       "{58,61,62,64,65} {66,67,69} {68} {71} {72,76,83,84,88,90} {73,74,80} "
+       "{75,82,94,97,100,101} {77,87,96,98,99,104} {78,79,81,85,86,89,91,95} "
+       "{92,93,102,103,105,106} {107,108,110,112,119,120} {109,115,117,124,127} "
+       "{111,113,116,122,129,130} {114,118,123,125,131} {121} "
+       "{126,128,132,133,134,139} {135,136,137,138,140} {141}",
+       117, 354826, 12782,
+       {56, 59, 55, 54, 48, 54, 54, 53, 52, 48, 50, 54, 56, 55, 49, 51, 47, 50, 42, 42,
+        50, 49, 48, 50, 42, 36, 29, 16, 10, 11, 13, 10, 12, 14, 14, 10, 6,  12, 7,  3,
+        10, 13, 8,  12, 6,  6,  12, 10, 9,  9,  8,  8,  12, 11, 12, 9,  12, 11, 13, 8,
+        6,  12, 12, 10, 6,  8,  6,  13, 11, 9,  8,  8,  11, 8,  8,  7,  10, 10, 8,  7,
+        10, 8,  11, 6,  8,  8,  9,  7,  7,  11, 7,  8,  7,  6,  5,  8,  10, 9,  13, 9,
+        10, 9,  9,  15, 8,  6,  7,  9,  12, 12, 11, 6,  8,  7,  9,  7,  8}},
+      {false, 9,
+       "{0,8,9,12,17,22,25,28,30,32} {1,2,3,4,5,6,7,13,19} {10,11,15,34,35} "
+       "{14,16,20,23,26,31} {18,21,24,27,29,33} {36,37,40,45,55} {38,47,48,52,53,68} "
+       "{39,41,51} {42,43,44,46,49,54,57} {50,63,70} {56,58,61,66,67,69} "
+       "{59,60,62,64,65} {71,77,78,79,81,87} {72,73,74,76,80} {75,82,94,100,101} "
+       "{83,84,88,90} {85,86,89,91,95,97} {92,93,102,103,105,106} {96,98,99,104} "
+       "{107,109,115,117,124,127} {108,111,113,114,119,120} {110,112,121,138} {116} "
+       "{118} {122,129,130,135,136,137} {123,125,131,140,141} "
+       "{126,128,132,133,134,139}",
+       119, 298822, 10321,
+       {59, 55, 52, 55, 57, 57, 52, 50, 50, 51, 51, 51, 50, 48, 47, 43, 43, 30, 37, 46,
+        44, 43, 31, 23, 25, 16, 18, 12, 9,  13, 12, 16, 10, 8,  10, 8,  9,  8,  10, 9,
+        11, 10, 5,  11, 8,  11, 9,  11, 4,  8,  11, 13, 13, 8,  11, 11, 14, 12, 10, 6,
+        10, 12, 9,  8,  11, 9,  5,  9,  8,  9,  12, 6,  7,  10, 7,  11, 8,  7,  6,  10,
+        8,  7,  7,  8,  7,  6,  8,  13, 5,  10, 18, 7,  5,  7,  8,  7,  10, 8,  9,  8,
+        9,  10, 9,  9,  5,  5,  7,  6,  8,  10, 8,  9,  9,  8,  12, 6,  7,  12, 11}},
+  };
+  for (const SearchPin& pin : pins) expect_pinned(pin);
+}
+
+TEST(SearchPins, HommeAtKfcDefaults) {
+  const char* plan =
+      "{0,1,2,4} {3} {5,6,7,8} {9,10,11,12} {13} {14} {15} {16,17} {18,19} {20,21} "
+      "{22} {23,24,25} {26,27,28,29,30} {31,32,33,34} {35} {36,38} {37} "
+      "{39,40,41,42}";
+  const SearchPin pins[] = {
+      {true, 7, plan, 95, 101639, 109,
+       {52, 58, 49, 46, 31, 21, 13, 8, 5, 6, 4, 5, 5, 10, 7, 4, 5, 3, 8, 6, 5, 6, 3, 5,
+        3,  3,  3,  6,  6,  6,  9,  4, 8, 7, 3, 7, 5, 7,  7, 5, 3, 6, 5, 7, 2, 8, 6, 4,
+        4,  5,  7,  10, 7,  6,  7,  2, 7, 6, 4, 4, 6, 6,  3, 5, 7, 4, 6, 8, 4, 6, 7, 7,
+        4,  10, 4,  5,  7,  5,  4,  7, 4, 8, 7, 5, 6, 4,  4, 5, 6, 3, 4, 6, 4, 4, 5}},
+      {true, 9, plan, 95, 101586, 109,
+       {56, 54, 52, 47, 37, 16, 7, 9, 4, 5, 9, 7, 6, 6, 3, 5, 7, 3, 7, 4, 5, 6, 7, 4,
+        5,  8,  7,  5,  3,  8,  7, 5, 5, 6, 4, 8, 4, 6, 4, 6, 7, 7, 4, 7, 7, 6, 7, 6,
+        4,  5,  5,  4,  7,  7,  7, 10, 6, 8, 4, 4, 3, 8, 7, 5, 5, 6, 4, 4, 5, 8, 6, 8,
+        8,  4,  4,  5,  5,  7,  6, 7, 6, 7, 4, 6, 7, 5, 6, 5, 4, 4, 4, 4, 4, 5, 5}},
+  };
+  for (const SearchPin& pin : pins) expect_pinned(pin);
 }
 
 // ---------- descriptor hand-off: check_group -> group_cost ----------

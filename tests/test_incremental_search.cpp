@@ -1,7 +1,11 @@
-// Oracles for the incremental greedy search and local polish.
+// Oracles for the incremental greedy search, local polish and crossover's
+// shortcuts.
 //
 // The schedulability queries (merge_is_schedulable / move_is_schedulable)
-// are checked against cyclic_groups on the materialized edit. greedy_search
+// are checked against cyclic_groups on the materialized edit, and
+// crossover's host check (check_extension, offered same-phase hosts only)
+// and anchored cycle search (cycle_from) against check_group and
+// cyclic_groups. greedy_search
 // and local_polish are checked against the full-rescan implementations they
 // replaced, copied verbatim below as references: same plans, same cost
 // bits, same edits, the same model evaluations and faults, and the same
@@ -11,12 +15,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "apps/cloverleaf.hpp"
+#include "apps/homme.hpp"
 #include "apps/motivating_example.hpp"
 #include "apps/scale_les.hpp"
 #include "apps/testsuite.hpp"
@@ -25,6 +33,7 @@
 #include "search/greedy.hpp"
 #include "search/hgga.hpp"
 #include "search/population.hpp"
+#include "serve/plan_context.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -339,6 +348,197 @@ TEST(IncrementalSchedulability, MergeAndMoveQueriesMatchCyclicGroups) {
   EXPECT_LT(merges_refused, merges_checked);
   EXPECT_GT(moves_refused, 0);
   EXPECT_LT(moves_refused, moves_checked);
+}
+
+// ---------- crossover's shortcuts ----------
+
+/// SCALE-LES, HOMME, rk18, CloverLeaf, fig3 and the serve-mixed benchmark's
+/// twelve Table V programs; each test expands them as a search does.
+std::vector<Program> shortcut_programs() {
+  std::vector<Program> out = {scale_les(), homme(), scale_les_rk18(), cloverleaf(),
+                              motivating_example()};
+  for (int i = 0; i < 12; ++i) out.push_back(oracle_program(i));
+  return out;
+}
+
+bool same_descriptor(const LaunchDescriptor& a, const LaunchDescriptor& b) {
+  return a.name == b.name && a.members == b.members && a.pivot_arrays == b.pivot_arrays &&
+         a.rocache_arrays == b.rocache_arrays && a.halo_radius == b.halo_radius &&
+         a.recompute_halo == b.recompute_halo && a.barriers == b.barriers &&
+         a.regs_per_thread == b.regs_per_thread &&
+         a.smem_per_block_bytes == b.smem_per_block_bytes &&
+         bits(a.flops_per_site) == bits(b.flops_per_site) &&
+         bits(a.halo_flops_per_site) == bits(b.halo_flops_per_site);
+}
+
+TEST(CrossoverShortcuts, ExtensionCheckMatchesCheckGroup) {
+  // Every group of random legal plans, grown by each sharing neighbour k
+  // outside it: check_extension returns check_group's verdict and hands
+  // over the same descriptor, and the grown group fails on phase exactly
+  // when k lies in another phase than the group — the hosts crossover
+  // skips, which check_group rejects before its memo.
+  std::map<LegalityVerdict, long> verdicts;
+  long handed_over = 0;
+  int index = 0;
+  for (const Program& raw : shortcut_programs()) {
+    const PlanContext ctx(raw, DeviceSpec::k20x());
+    const Program& program = ctx.expansion.program;
+    // Fresh twin checkers (the plans come from the context's own): their
+    // resource memos see the same groups in the same order, so both hand
+    // over a descriptor or neither does.
+    const LegalityChecker full(program, ctx.device);
+    const LegalityChecker shortcut(program, ctx.device);
+    Rng rng(1000 + static_cast<std::uint64_t>(index));
+    for (const double aggressiveness : {0.3, 0.6, 0.9}) {
+      const FusionPlan plan = random_legal_plan(ctx.checker, rng, aggressiveness);
+      for (int g = 0; g < plan.num_groups(); ++g) {
+        const auto group = plan.group(g);
+        std::set<KernelId> outside;
+        for (KernelId m : group) {
+          for (KernelId n : full.sharing().neighbours(m)) {
+            if (plan.group_of(n) != g) outside.insert(n);
+          }
+        }
+        for (KernelId k : outside) {
+          std::vector<KernelId> grown(group.begin(), group.end());
+          grown.insert(std::lower_bound(grown.begin(), grown.end(), k), k);
+          LaunchDescriptor want;
+          LaunchDescriptor got;
+          const LegalityVerdict expected = full.check_group(grown, &want);
+          ASSERT_EQ(shortcut.check_extension(grown, k, &got), expected)
+              << "program " << index << ", group " << g << " + kernel " << k;
+          ASSERT_TRUE(same_descriptor(got, want))
+              << "program " << index << ", group " << g << " + kernel " << k;
+          ASSERT_EQ(expected == LegalityVerdict::PhaseMismatch,
+                    program.kernel(k).phase != program.kernel(group[0]).phase)
+              << "program " << index << ", group " << g << " + kernel " << k;
+          ++verdicts[expected];
+          if (!want.members.empty()) ++handed_over;
+        }
+      }
+    }
+    ++index;
+  }
+  // SCALE-LES's sharing graph links kernels across phase barriers, and the
+  // sweep meets every verdict the shortcut can return except the rare
+  // resource overflows; kinship never fails.
+  EXPECT_GT(verdicts[LegalityVerdict::PhaseMismatch], 0);
+  EXPECT_GT(verdicts[LegalityVerdict::NotConvex], 0);
+  EXPECT_GT(verdicts[LegalityVerdict::Ok], 0);
+  EXPECT_EQ(verdicts[LegalityVerdict::NotConnected], 0);
+  EXPECT_GT(handed_over, 0);
+
+  // The contract: strictly ascending, holding the added kernel.
+  const PlanContext ctx(motivating_example(), DeviceSpec::k20x());
+  const std::vector<KernelId> repeated = {0, 1, 1};
+  const std::vector<KernelId> unsorted = {1, 0};
+  EXPECT_THROW((void)ctx.checker.check_extension(repeated, 1), PreconditionError);
+  EXPECT_THROW((void)ctx.checker.check_extension(unsorted, 1), PreconditionError);
+  EXPECT_THROW((void)ctx.checker.check_extension(std::vector<KernelId>{0, 1}, 2),
+               PreconditionError);
+}
+
+TEST(CrossoverShortcuts, AnchoredCycleSearchMatchesCyclicGroups) {
+  // Children assembled as Hgga::crossover assembles them, except that an
+  // orphan joins a random legal host (or stays alone) instead of the
+  // cheapest: the anchors are the injected groups and every group that
+  // took an orphan, and which host an orphan takes does not matter.
+  long cyclic = 0;
+  long acyclic = 0;
+  int index = 0;
+  for (const Program& raw : shortcut_programs()) {
+    const PlanContext ctx(raw, DeviceSpec::k20x());
+    const LegalityChecker& checker = ctx.checker;
+    const int n = ctx.expansion.program.num_kernels();
+    Rng rng(2000 + static_cast<std::uint64_t>(index));
+    std::vector<FusionPlan> parents;
+    for (int i = 0; i < 8; ++i) {
+      parents.push_back(random_legal_plan(checker, rng, rng.next_double(0.3, 0.9)));
+    }
+    FlatGroupList groups;
+    std::vector<int> anchors;
+    std::vector<int> owner;
+    std::vector<int> hosts;
+    for (int pair = 0; pair < 40; ++pair) {
+      const FusionPlan& a = parents[rng.next_below(parents.size())];
+      const FusionPlan& b = parents[rng.next_below(parents.size())];
+      std::vector<std::vector<KernelId>> injected;
+      std::vector<int> fused;
+      for (int g = 0; g < b.num_groups(); ++g) {
+        if (b.group(g).size() >= 2) fused.push_back(g);
+      }
+      for (int g : fused) {
+        if (rng.next_bool(0.5)) injected.emplace_back(b.group(g).begin(), b.group(g).end());
+      }
+      if (injected.empty() && !fused.empty()) {
+        const auto g = b.group(fused[rng.next_below(fused.size())]);
+        injected.emplace_back(g.begin(), g.end());
+      }
+      std::vector<char> taken(static_cast<std::size_t>(n), 0);
+      for (const auto& g : injected) {
+        for (KernelId k : g) taken[static_cast<std::size_t>(k)] = 1;
+      }
+      groups.clear();
+      anchors.clear();
+      std::vector<KernelId> orphans;
+      for (int g = 0; g < a.num_groups(); ++g) {
+        const auto group = a.group(g);
+        const bool collides = std::any_of(group.begin(), group.end(), [&](KernelId k) {
+          return taken[static_cast<std::size_t>(k)];
+        });
+        if (!collides) {
+          groups.append(group);
+          continue;
+        }
+        for (KernelId k : group) {
+          if (!taken[static_cast<std::size_t>(k)]) orphans.push_back(k);
+        }
+      }
+      for (const auto& g : injected) {
+        anchors.push_back(groups.size());
+        groups.append(g);
+      }
+      owner.assign(static_cast<std::size_t>(n), -1);
+      for (int g = 0; g < groups.size(); ++g) {
+        for (KernelId k : groups.group(g)) owner[static_cast<std::size_t>(k)] = g;
+      }
+      rng.shuffle(orphans);
+      for (KernelId k : orphans) {
+        hosts.clear();
+        for (KernelId nb : checker.sharing().neighbours(k)) {
+          const int g = owner[static_cast<std::size_t>(nb)];
+          if (g < 0) continue;
+          std::vector<KernelId> grown(groups.group(g).begin(), groups.group(g).end());
+          grown.insert(std::lower_bound(grown.begin(), grown.end(), k), k);
+          if (checker.check_group(grown) == LegalityVerdict::Ok) hosts.push_back(g);
+        }
+        if (!hosts.empty() && rng.next_bool(0.8)) {
+          const int g = hosts[rng.next_below(hosts.size())];
+          groups.insert_member(g, k);
+          owner[static_cast<std::size_t>(k)] = g;
+          anchors.push_back(g);
+        } else {
+          groups.append_singleton(k);
+          owner[static_cast<std::size_t>(k)] = groups.size() - 1;
+        }
+      }
+      FusionPlan child;
+      child.assign_flat(n, groups.members(), groups.offsets());
+      ASSERT_EQ(child.num_groups(), groups.size());
+      const bool expected = !checker.cyclic_groups(child).empty();
+      ASSERT_EQ(checker.cycle_from(child, anchors), expected)
+          << "program " << index << ", pair " << pair;
+      // Rooted at every group, the search answers for the whole quotient.
+      std::vector<int> every(static_cast<std::size_t>(child.num_groups()));
+      std::iota(every.begin(), every.end(), 0);
+      ASSERT_EQ(checker.cycle_from(child, every), expected)
+          << "program " << index << ", pair " << pair;
+      ++(expected ? cyclic : acyclic);
+    }
+    ++index;
+  }
+  EXPECT_GT(cyclic, 0);
+  EXPECT_GT(acyclic, 0);
 }
 
 // ---------- greedy and polish against the references ----------

@@ -469,6 +469,46 @@ TEST(Observability, HggaSameSeedBitIdenticalWithSinksAttached) {
   EXPECT_TRUE(saw_crossover);
 }
 
+TEST(Observability, BreedCountersRepeatExactlyWithSinksAttached) {
+  // Crossover's search.breed.* counters count what it did, so they repeat
+  // at one seed and do not depend on what else observes the run.
+  const char* const kNames[] = {"search.crossovers",          "search.breed.orphans",
+                                "search.breed.host_checks",   "search.breed.hosts_legal",
+                                "search.breed.cyclic_children", "search.breed.cycle_splits"};
+  auto counts = [&](bool all_sinks) {
+    PlanContext ctx(scale_les(), DeviceSpec::k20x());
+    MetricsRegistry metrics;
+    std::ostringstream events;
+    TraceLog trace(events);
+    SpanTracer spans;
+    DecisionLog decisions;
+    Telemetry telemetry;
+    telemetry.metrics = &metrics;
+    if (all_sinks) {
+      telemetry.trace = &trace;
+      telemetry.spans = &spans;
+      telemetry.decisions = &decisions;
+    }
+    ctx.objective.set_telemetry(&telemetry);
+    HggaConfig cfg;
+    cfg.population = 30;
+    cfg.max_generations = 40;
+    cfg.stall_generations = 40;
+    cfg.seed = 7;
+    (void)Hgga(ctx.objective, cfg).run(nullptr, nullptr, &telemetry);
+    std::vector<long> out;
+    for (const char* name : kNames) out.push_back(metrics.counter_value(name));
+    return out;
+  };
+  const std::vector<long> first = counts(false);
+  EXPECT_EQ(counts(false), first);
+  EXPECT_EQ(counts(true), first);
+  for (std::size_t i = 0; i < first.size(); ++i) EXPECT_GT(first[i], 0) << kNames[i];
+  EXPECT_LE(first[3], first[2]);  // legal hosts among those checked
+  EXPECT_LE(first[4], first[0]);  // cyclic children among the crossovers
+  EXPECT_GE(first[5], first[4]);  // each cyclic child splits a group at least
+}
+
 TEST(Observability, ProjectionSamplesReuseThePricedDescriptor) {
   // Twin stacks, so each builder counts the builds of one search alone.
   TestSuiteConfig suite;
