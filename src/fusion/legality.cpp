@@ -41,7 +41,8 @@ LegalityChecker::LegalityChecker(const Program& program, DeviceSpec device,
                    params.rocache_bytes = device_.readonly_cache_per_smx;
                  }
                  return params;
-               }()) {}
+               }()),
+      memo_(static_cast<std::size_t>((program.num_kernels() + 63) / 64)) {}
 
 LegalityVerdict LegalityChecker::check_group(std::span<const KernelId> group,
                                              LaunchDescriptor* built) const {
@@ -82,13 +83,6 @@ LegalityVerdict LegalityChecker::check_extension(std::span<const KernelId> grown
   return resource_verdict(grown, built);
 }
 
-std::size_t LegalityChecker::MaskHash::operator()(
-    const std::vector<std::uint64_t>& mask) const noexcept {
-  std::uint64_t h = mask.size();
-  for (std::uint64_t w : mask) h = mix64(h ^ w);
-  return static_cast<std::size_t>(h);
-}
-
 LegalityVerdict LegalityChecker::resource_verdict(std::span<const KernelId> group,
                                                   LaunchDescriptor* built) const {
   // The key is the member mask itself: member order does not matter, and
@@ -96,10 +90,11 @@ LegalityVerdict LegalityChecker::resource_verdict(std::span<const KernelId> grou
   thread_local std::vector<std::uint64_t> key;
   key.assign(static_cast<std::size_t>((program_.num_kernels() + 63) / 64), 0);
   set_member_bits(key, group, program_.num_kernels());
+  std::uint64_t hash = key.size();
+  for (std::uint64_t w : key) hash = mix64(hash ^ w);
   {
     const std::shared_lock lock(memo_mutex_);
-    const auto hit = memo_.find(key);
-    if (hit != memo_.end()) return hit->second;
+    if (const LegalityVerdict* hit = memo_.find(hash, key)) return *hit;
   }
   // (1.6)/(1.7): resource footprint of the would-be generated kernel.
   LaunchDescriptor d = builder_.build(group);
@@ -111,7 +106,7 @@ LegalityVerdict LegalityChecker::resource_verdict(std::span<const KernelId> grou
   }
   {
     const std::unique_lock lock(memo_mutex_);
-    memo_.try_emplace(key, verdict);
+    memo_.insert(hash, key, verdict);
   }
   if (built != nullptr) *built = std::move(d);
   return verdict;
@@ -246,6 +241,7 @@ bool LegalityChecker::edit_closes_cycle(const FusionPlan& plan, int into,
   };
   thread_local Scratch s;
   const int ng = plan.num_groups();
+  const std::span<const int> owner = plan.owners();
   const int from = moved >= 0 ? plan.group_of(moved) : -1;
   const auto nodes = static_cast<std::size_t>(ng + program_.num_kernels());
   if (s.seen.size() < nodes) s.seen.resize(nodes, 0);
@@ -255,7 +251,7 @@ bool LegalityChecker::edit_closes_cycle(const FusionPlan& plan, int into,
   }
   auto node_of = [&](KernelId v) {
     if (v == moved) return into;
-    const int g = plan.group_of(v);
+    const int g = owner[static_cast<std::size_t>(v)];
     if (g == absorbed) return into;
     if (split_rest && g == from) return ng + v;
     return g;

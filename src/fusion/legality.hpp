@@ -16,21 +16,23 @@
 // paper's active-constraint pruning). Phase, kinship and convexity are word
 // operations on the group's member mask; the (1.6)/(1.7) verdict needs the
 // fused kernel's descriptor, so it is computed once per member set and kept
-// in a memo keyed on the exact member mask (a hash picks the bucket, mask
-// equality decides the hit, so a hash collision cannot serve a wrong
-// verdict). The memo depends only on this checker's program and device, is
-// shared by every thread using the checker (readers take a shared lock,
-// inserts an exclusive one), and holds only groups that passed the cheap
-// checks. It keeps verdicts, not descriptors: a caller that prices the
-// group next takes the descriptor the miss built (check_group's `built`),
-// so a group checked and then priced is built once.
+// in a memo keyed on the exact member mask: a flat open-addressed table
+// (util/flat_table.hpp) whose slots hold the mask's hash and its words
+// inline, so a lookup is one probe run over contiguous slots. The hash
+// picks the slot, and the mask, compared in full, decides the hit, so a
+// hash collision cannot serve a wrong verdict. The memo depends only on
+// this checker's program and device, is shared by every thread using the
+// checker (readers take a shared lock, inserts — and the table's growth —
+// an exclusive one), and holds only groups that passed the cheap checks.
+// It keeps verdicts, not descriptors: a caller that prices the group next
+// takes the descriptor the miss built (check_group's `built`), so a group
+// checked and then priced is built once.
 #pragma once
 
 #include <cstdint>
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fusion/fused_kernel.hpp"
@@ -38,6 +40,7 @@
 #include "graph/execution_order.hpp"
 #include "graph/sharing.hpp"
 #include "gpu/device_spec.hpp"
+#include "util/flat_table.hpp"
 
 namespace kf {
 
@@ -150,11 +153,8 @@ class LegalityChecker {
   bool edit_closes_cycle(const FusionPlan& plan, int into, int absorbed,
                          KernelId moved, bool split_rest) const;
 
-  struct MaskHash {
-    std::size_t operator()(const std::vector<std::uint64_t>& mask) const noexcept;
-  };
   mutable std::shared_mutex memo_mutex_;
-  mutable std::unordered_map<std::vector<std::uint64_t>, LegalityVerdict, MaskHash> memo_;
+  mutable FlatTable<LegalityVerdict> memo_;  // member mask -> verdict
 };
 
 }  // namespace kf

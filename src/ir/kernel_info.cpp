@@ -36,12 +36,6 @@ bool KernelInfo::writes(ArrayId array) const noexcept {
   return a != nullptr && a->is_write();
 }
 
-int KernelInfo::thread_load(ArrayId array) const noexcept {
-  const ArrayAccess* a = find_access(array);
-  if (a == nullptr || !a->is_read()) return 0;
-  return a->pattern.thread_load();
-}
-
 int KernelInfo::max_halo_radius() const noexcept {
   int r = 0;
   for (const auto& a : accesses) {

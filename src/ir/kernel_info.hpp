@@ -77,9 +77,6 @@ struct KernelInfo {
   bool reads(ArrayId array) const noexcept;
   bool writes(ArrayId array) const noexcept;
 
-  /// ThrLD(x): 0 when the kernel does not read the array.
-  int thread_load(ArrayId array) const noexcept;
-
   /// Widest horizontal stencil radius over all read accesses.
   int max_halo_radius() const noexcept;
 

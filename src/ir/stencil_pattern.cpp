@@ -11,6 +11,13 @@ namespace kf {
 StencilPattern::StencilPattern(std::vector<Offset> offsets) : offsets_(std::move(offsets)) {
   std::sort(offsets_.begin(), offsets_.end());
   offsets_.erase(std::unique(offsets_.begin(), offsets_.end()), offsets_.end());
+  // Sorted by (dx, dy, dz), so equal (dx, dy) pairs are adjacent: the
+  // thread load counts the runs.
+  for (std::size_t i = 0; i < offsets_.size(); ++i) {
+    const Offset& o = offsets_[i];
+    if (i == 0 || o.dx != offsets_[i - 1].dx || o.dy != offsets_[i - 1].dy) ++thread_load_;
+    horizontal_radius_ = std::max({horizontal_radius_, std::abs(o.dx), std::abs(o.dy)});
+  }
 }
 
 StencilPattern StencilPattern::point() { return StencilPattern({{0, 0, 0}}); }
@@ -72,29 +79,10 @@ StencilPattern StencilPattern::with_thread_load(int load) {
   return StencilPattern(std::move(o));
 }
 
-int StencilPattern::horizontal_radius() const noexcept {
-  int r = 0;
-  for (const auto& o : offsets_) r = std::max({r, std::abs(o.dx), std::abs(o.dy)});
-  return r;
-}
-
 int StencilPattern::vertical_radius() const noexcept {
   int r = 0;
   for (const auto& o : offsets_) r = std::max(r, std::abs(o.dz));
   return r;
-}
-
-int StencilPattern::thread_load() const noexcept {
-  // offsets_ is sorted by (dx, dy, dz), so equal (dx, dy) pairs are
-  // adjacent: count the runs.
-  int load = 0;
-  for (std::size_t i = 0; i < offsets_.size(); ++i) {
-    if (i == 0 || offsets_[i].dx != offsets_[i - 1].dx ||
-        offsets_[i].dy != offsets_[i - 1].dy) {
-      ++load;
-    }
-  }
-  return load;
 }
 
 StencilPattern StencilPattern::merged_with(const StencilPattern& other) const {

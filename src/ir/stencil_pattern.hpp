@@ -25,6 +25,9 @@ struct Offset {
   friend auto operator<=>(const Offset&, const Offset&) = default;
 };
 
+/// Immutable once built: the constructor canonicalises the offsets and
+/// derives the thread load and horizontal radius the traffic and
+/// projection models read on every access, so reading them is free.
 class StencilPattern {
  public:
   StencilPattern() = default;
@@ -60,7 +63,7 @@ class StencilPattern {
   int size() const noexcept { return static_cast<int>(offsets_.size()); }
 
   /// Max horizontal Chebyshev radius: max(|dx|, |dy|) over offsets.
-  int horizontal_radius() const noexcept;
+  int horizontal_radius() const noexcept { return horizontal_radius_; }
 
   /// Max |dz| over offsets.
   int vertical_radius() const noexcept;
@@ -68,7 +71,7 @@ class StencilPattern {
   /// Number of distinct (dx, dy) offsets — the paper's ThrLD for this
   /// access (each horizontal offset means one more thread in the block
   /// touches a given element).
-  int thread_load() const noexcept;
+  int thread_load() const noexcept { return thread_load_; }
 
   /// Union of two patterns.
   StencilPattern merged_with(const StencilPattern& other) const;
@@ -81,6 +84,8 @@ class StencilPattern {
 
  private:
   std::vector<Offset> offsets_;
+  int thread_load_ = 0;
+  int horizontal_radius_ = 0;
 };
 
 }  // namespace kf

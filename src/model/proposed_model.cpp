@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "gpu/occupancy.hpp"
 #include "gpu/traffic_model.hpp"
@@ -44,13 +45,33 @@ Projection ProposedModel::project_impl(const Program& program,
   const long hal = halo_points(program.launch(), launch.halo_radius);  // points
   const int h_th = c ? static_cast<int>((hal + thr - 1) / thr) : 0;
 
+  // Pivots are stamped by ArrayId, so one pass over each member's accesses
+  // finds the largest pivot thread load (Program::validate allows one
+  // access per array per kernel).
+  thread_local std::vector<std::uint32_t> pivot_stamp;
+  thread_local std::uint32_t epoch = 0;
+  if (pivot_stamp.size() < program.arrays().size()) {
+    pivot_stamp.resize(program.arrays().size(), 0);
+  }
+  if (++epoch == 0) {
+    std::fill(pivot_stamp.begin(), pivot_stamp.end(), 0);
+    epoch = 1;
+  }
+  for (ArrayId a : launch.pivot_arrays) {
+    KF_REQUIRE(a >= 0 && static_cast<std::size_t>(a) < program.arrays().size(),
+               "pivot array id " << a << " out of range");
+    pivot_stamp[static_cast<std::size_t>(a)] = epoch;
+  }
+
   int t_b = thr;  // active threads: min over members (Eq. 7 note)
   int max_thrld = 1;
   for (KernelId k : launch.members) {
     const KernelInfo& kernel = program.kernel(k);
     if (kernel.active_threads > 0) t_b = std::min(t_b, kernel.active_threads);
-    for (ArrayId a : launch.pivot_arrays) {
-      max_thrld = std::max(max_thrld, kernel.thread_load(a));
+    for (const ArrayAccess& acc : kernel.accesses) {
+      if (acc.is_read() && pivot_stamp[static_cast<std::size_t>(acc.array)] == epoch) {
+        max_thrld = std::max(max_thrld, acc.pattern.thread_load());
+      }
     }
   }
   const int shr = static_cast<int>(launch.pivot_arrays.size());  // |ShrLst|

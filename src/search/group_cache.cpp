@@ -29,9 +29,9 @@ bool GroupCostCache::find(std::uint64_t key, Entry* out) const {
     shard.mutex.lock_shared();
   }
   std::shared_lock<std::shared_mutex> lock(shard.mutex, std::adopt_lock);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  *out = it->second;
+  const Entry* hit = shard.table.find(key);
+  if (hit == nullptr) return false;
+  *out = *hit;
   return true;
 }
 
@@ -43,7 +43,7 @@ bool GroupCostCache::insert(std::uint64_t key, const Entry& entry) {
   }
   {
     std::lock_guard<std::shared_mutex> lock(shard.mutex, std::adopt_lock);
-    if (!shard.map.emplace(key, entry).second) return false;
+    if (!shard.table.insert(key, {}, entry).second) return false;
   }
   entries_.fetch_add(1, std::memory_order_relaxed);
   if (entry.quarantined) quarantined_.fetch_add(1, std::memory_order_relaxed);

@@ -4,10 +4,14 @@
 // Objective::group_cost; at the paper's scale (§V, Table VI: millions of
 // evaluations, most of them repeats) the memo is hammered from the OpenMP
 // population loop. A single mutex around one map serializes that loop, so
-// the cache is lock-striped: the 64-bit member-set fingerprint selects one
-// of N shards, each an independent shared_mutex + hash map. Hits — the
-// overwhelming majority — take exactly one shared (reader) lock on one
-// shard; only inserts take that shard's lock exclusively.
+// the cache is lock-striped: the low bits of the 64-bit member-set
+// fingerprint select one of N shards, each an independent shared_mutex
+// beside a flat open-addressed table (util/flat_table.hpp) whose slots hold
+// {fingerprint, cost, profitable, quarantined} inline, and whose home slot
+// comes from the fingerprint's high bits. Hits — the overwhelming majority
+// — take exactly one shared (reader) lock on one shard and one probe run
+// over contiguous slots; only inserts, and the growth of a shard's table,
+// take that shard's lock exclusively.
 //
 // Quarantine state (see objective.hpp) is folded into the entry instead of
 // living in a second set, so the hit path never needs a second acquisition
@@ -25,8 +29,8 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
-#include <unordered_map>
-#include <vector>
+
+#include "util/flat_table.hpp"
 
 namespace kf {
 
@@ -77,7 +81,7 @@ class GroupCostCache {
   // Padded to a cache line so neighbouring shard locks never false-share.
   struct alignas(64) Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<std::uint64_t, Entry> map;
+    FlatTable<Entry> table;  // keyed by the fingerprint alone
   };
 
   int shard_count_ = 0;

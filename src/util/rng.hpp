@@ -15,10 +15,20 @@
 namespace kf {
 
 /// SplitMix64 step; used for seeding and for cheap stateless hashing.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
-/// Stateless 64-bit mix of a value (one SplitMix64 round).
-std::uint64_t mix64(std::uint64_t value) noexcept;
+/// Stateless 64-bit mix of a value (one SplitMix64 round). Inline because
+/// the cost-cache and legality-memo keys run it on every member or mask word.
+inline std::uint64_t mix64(std::uint64_t value) noexcept {
+  std::uint64_t s = value;
+  return splitmix64(s);
+}
 
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator.
 class Rng {

@@ -34,6 +34,8 @@
 #include "search/random_search.hpp"
 #include "serve/plan_context.hpp"
 #include "util/fault_injection.hpp"
+#include "util/flat_table.hpp"
+#include "util/rng.hpp"
 
 // ---- global allocation counter (for the arena zero-alloc test) ----
 namespace {
@@ -115,6 +117,91 @@ TEST(GroupFingerprint, SizeBreaksSubsetAliasing) {
   EXPECT_NE(Objective::group_fingerprint(one), Objective::group_fingerprint(two));
 }
 
+// ---------- FlatTable (the memo and cache shards' storage) ----------
+
+/// A two-word key: a member mask over up to 128 kernels.
+std::vector<std::uint64_t> two_word_key(std::uint64_t i) {
+  return {i * 0x9e3779b97f4a7c15ULL, ~i};
+}
+
+TEST(FlatTable, GrowthKeepsEveryKeyAndValue) {
+  // Enough keys to force at least three doublings whatever the load limit
+  // below 1: 8x the initial capacity cannot fit in 4x of it.
+  FlatTable<int> table(2);
+  const std::uint64_t keys = 8 * FlatTable<int>::kInitialCapacity + 5;
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    const std::vector<std::uint64_t> key = two_word_key(i);
+    const auto [stored, inserted] = table.insert(mix64(i), key, static_cast<int>(i));
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(*stored, static_cast<int>(i));
+  }
+  EXPECT_EQ(table.size(), keys);
+  EXPECT_GE(table.capacity(), 8 * FlatTable<int>::kInitialCapacity);
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    const int* hit = table.find(mix64(i), two_word_key(i));
+    ASSERT_NE(hit, nullptr) << i;
+    EXPECT_EQ(*hit, static_cast<int>(i));
+  }
+  // Absent keys miss: a new hash, and a stored hash with other words.
+  for (std::uint64_t i = keys; i < 2 * keys; ++i) {
+    EXPECT_EQ(table.find(mix64(i), two_word_key(i)), nullptr) << i;
+    EXPECT_EQ(table.find(mix64(i - keys), two_word_key(i)), nullptr) << i;
+  }
+  EXPECT_THROW(table.find(mix64(0), std::vector<std::uint64_t>{1}), PreconditionError);
+}
+
+TEST(FlatTable, SecondInsertKeepsTheFirstValueAndReportsIt) {
+  FlatTable<double> table;  // keyed by the hash alone, like a cache shard
+  EXPECT_TRUE(table.insert(42, {}, 1.5).second);
+  const auto [stored, inserted] = table.insert(42, {}, 2.5);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(*stored, 1.5);
+  ASSERT_NE(table.find(42), nullptr);
+  EXPECT_EQ(*table.find(42), 1.5);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find(43), nullptr);
+}
+
+TEST(FlatTable, EqualHashesKeepDistinctKeysApart) {
+  // Every key gets the same hash: a 64-bit collision between member masks
+  // costs a longer probe, never another key's value — through growth too.
+  FlatTable<int> table(2);
+  constexpr std::uint64_t kHash = 0xdeadbeefcafef00dULL;
+  const std::uint64_t keys = 8 * FlatTable<int>::kInitialCapacity;
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    EXPECT_TRUE(table.insert(kHash, two_word_key(i), static_cast<int>(i)).second);
+  }
+  EXPECT_FALSE(table.insert(kHash, two_word_key(3), -1).second);
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    const int* hit = table.find(kHash, two_word_key(i));
+    ASSERT_NE(hit, nullptr) << i;
+    EXPECT_EQ(*hit, static_cast<int>(i));
+  }
+  EXPECT_EQ(table.find(kHash, two_word_key(keys)), nullptr);
+}
+
+TEST(FlatTable, HitsAndInsertsBelowTheGrowthThresholdAllocateNothing) {
+  FlatTable<int> table(2);
+  const std::vector<std::uint64_t> first = two_word_key(1);
+  const std::vector<std::uint64_t> second = two_word_key(2);
+  const std::vector<std::uint64_t> absent = two_word_key(3);
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  const bool inserted_first = table.insert(mix64(1), first, 1).second;
+  const bool inserted_second = table.insert(mix64(2), second, 2).second;
+  const bool inserted_again = table.insert(mix64(1), first, 5).second;
+  const int* hit = table.find(mix64(1), first);
+  const int* miss = table.find(mix64(3), absent);
+  const long allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocations, 0);
+  EXPECT_TRUE(inserted_first);
+  EXPECT_TRUE(inserted_second);
+  EXPECT_FALSE(inserted_again);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 1);
+  EXPECT_EQ(miss, nullptr);
+  EXPECT_EQ(table.capacity(), FlatTable<int>::kInitialCapacity);
+}
+
 // ---------- GroupCostCache ----------
 
 TEST(GroupCostCache, InsertFindRoundTrip) {
@@ -149,17 +236,28 @@ TEST(GroupCostCache, ShardCountRoundsUpToPowerOfTwo) {
 TEST(GroupCostCache, ConcurrentInsertFindIsCoherent) {
   GroupCostCache cache(16);
   constexpr int kThreads = 4;
-  constexpr std::uint64_t kKeys = 2000;
+  constexpr std::uint64_t kKeys = 4096;
+  // Fingerprints are well mixed; key k's cost is k.
+  auto fingerprint = [](std::uint64_t k) { return mix64(k); };
+  // A shard is a fingerprint's low bits. Every shard's table must hold 8x
+  // its initial capacity, so each doubles at least three times while the
+  // other threads probe it.
+  std::vector<std::size_t> per_shard(static_cast<std::size_t>(cache.shards()), 0);
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
+    ++per_shard[fingerprint(k) & static_cast<std::uint64_t>(cache.shards() - 1)];
+  }
+  ASSERT_GE(*std::min_element(per_shard.begin(), per_shard.end()),
+            8 * FlatTable<GroupCostCache::Entry>::kInitialCapacity);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, t] {
+    workers.emplace_back([&cache, &fingerprint, t] {
       for (std::uint64_t k = 1; k <= kKeys; ++k) {
         // Every key is inserted by every thread, and the threads disagree on
         // whether it is quarantined: which flag wins depends on the race.
         const bool quarantined = (k + static_cast<std::uint64_t>(t)) % 3 == 0;
-        cache.insert(k, {GroupCost{static_cast<double>(k), true}, quarantined});
+        cache.insert(fingerprint(k), {GroupCost{static_cast<double>(k), true}, quarantined});
         GroupCostCache::Entry entry;
-        if (cache.find(k + static_cast<std::uint64_t>(t), &entry)) {
+        if (cache.find(fingerprint(k + static_cast<std::uint64_t>(t)), &entry)) {
           // Entries are immutable: any visible value is the first insert's.
           EXPECT_DOUBLE_EQ(entry.cost.cost_s,
                            static_cast<double>(k + static_cast<std::uint64_t>(t)));
@@ -171,7 +269,7 @@ TEST(GroupCostCache, ConcurrentInsertFindIsCoherent) {
   EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
   for (std::uint64_t k = 1; k <= kKeys; ++k) {
     GroupCostCache::Entry entry;
-    ASSERT_TRUE(cache.find(k, &entry));
+    ASSERT_TRUE(cache.find(fingerprint(k), &entry));
     EXPECT_DOUBLE_EQ(entry.cost.cost_s, static_cast<double>(k));
   }
   // The counters kept at insert equal a brute-force count of the entries
@@ -180,7 +278,7 @@ TEST(GroupCostCache, ConcurrentInsertFindIsCoherent) {
   long quarantined = 0;
   for (std::uint64_t k = 0; k <= kKeys + kThreads; ++k) {
     GroupCostCache::Entry entry;
-    if (!cache.find(k, &entry)) continue;
+    if (!cache.find(fingerprint(k), &entry)) continue;
     ++entries;
     if (entry.quarantined) ++quarantined;
   }

@@ -23,6 +23,7 @@
 #include "graph/array_expansion.hpp"
 #include "search/population.hpp"
 #include "util/error.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 
 namespace kf {
@@ -661,6 +662,21 @@ TEST(Legality, ConcurrentChecksMatchSerial) {
   }
   ASSERT_GT(seen[static_cast<std::size_t>(LegalityVerdict::Ok)], 0);
   ASSERT_GT(seen[static_cast<std::size_t>(LegalityVerdict::SmemOverflow)], 0);
+  // The groups that reach the resource check are the memo's keys. Holding
+  // 8x its initial capacity, the memo doubles at least three times while
+  // the threads below probe it.
+  std::set<std::vector<KernelId>> memo_keys;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const LegalityVerdict v = expected[i];
+    if (groups[i].size() < 2 || (v != LegalityVerdict::Ok && v != LegalityVerdict::SmemOverflow &&
+                                 v != LegalityVerdict::RegOverflow)) {
+      continue;
+    }
+    std::vector<KernelId> members = groups[i];
+    std::sort(members.begin(), members.end());
+    memo_keys.insert(std::move(members));
+  }
+  ASSERT_GE(memo_keys.size(), 8 * FlatTable<LegalityVerdict>::kInitialCapacity);
 
   const LegalityChecker shared(p, device);
   constexpr int kThreads = 8;

@@ -149,8 +149,8 @@ TEST(KernelInfo, DeriveMetadataFromBody) {
   EXPECT_TRUE(k.reads(1));
   EXPECT_TRUE(k.writes(2));
   EXPECT_FALSE(k.writes(0));
-  EXPECT_EQ(k.thread_load(0), 2);
-  EXPECT_EQ(k.thread_load(1), 1);
+  EXPECT_EQ(k.find_access(0)->pattern.thread_load(), 2);
+  EXPECT_EQ(k.find_access(1)->pattern.thread_load(), 1);
   EXPECT_EQ(k.max_halo_radius(), 1);
   EXPECT_DOUBLE_EQ(k.flops_per_site, 3.0);  // one mul + two adds
 }

@@ -2,16 +2,25 @@
 // with parameterized gtest suites.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <set>
 
+#include "apps/cloverleaf.hpp"
+#include "apps/homme.hpp"
+#include "apps/motivating_example.hpp"
+#include "apps/scale_les.hpp"
 #include "apps/testsuite.hpp"
 #include "graph/dag.hpp"
+#include "graph/dependency_graph.hpp"
 #include "gpu/bank_conflicts.hpp"
 #include "ir/program_io.hpp"
 #include "graph/sharing.hpp"
 #include "fusion/legality.hpp"
 #include "fusion/transformer.hpp"
+#include "gpu/traffic_model.hpp"
 #include "graph/array_expansion.hpp"
 #include "graph/execution_order.hpp"
 #include "model/proposed_model.hpp"
@@ -19,6 +28,7 @@
 #include "search/hgga.hpp"
 #include "search/population.hpp"
 #include "stencil/equivalence.hpp"
+#include "util/string_util.hpp"
 
 namespace kf {
 namespace {
@@ -352,6 +362,313 @@ TEST_P(PatternSweep, MergeWithSelfIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Loads, PatternSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25));
+
+// ============================== projection vs a recounting reference
+
+// The reference recounts every stencil fact from StencilPattern::offsets()
+// and tests staging with LaunchDescriptor::is_staged, so it shares neither
+// the facts a pattern derives once nor compute_traffic's staged flags.
+int recount_thread_load(const StencilPattern& pattern) {
+  std::set<std::pair<int, int>> columns;
+  for (const Offset& o : pattern.offsets()) columns.insert({o.dx, o.dy});
+  return static_cast<int>(columns.size());
+}
+
+int recount_radius(const StencilPattern& pattern) {
+  int r = 0;
+  for (const Offset& o : pattern.offsets()) r = std::max({r, std::abs(o.dx), std::abs(o.dy)});
+  return r;
+}
+
+void expect_recounted(const StencilPattern& pattern) {
+  EXPECT_EQ(pattern.thread_load(), recount_thread_load(pattern)) << pattern.to_string();
+  EXPECT_EQ(pattern.horizontal_radius(), recount_radius(pattern)) << pattern.to_string();
+}
+
+TEST(StencilFacts, EveryFactoryAndRandomOffsetSetsMatchARecount) {
+  expect_recounted(StencilPattern());
+  expect_recounted(StencilPattern::point());
+  for (int r = 0; r <= 4; ++r) {
+    expect_recounted(StencilPattern::cross2d(r));
+    expect_recounted(StencilPattern::box2d(r));
+    expect_recounted(StencilPattern::column(r));
+  }
+  for (int points = 1; points <= 4; ++points) {
+    expect_recounted(StencilPattern::backward2d(points));
+  }
+  for (int load = 1; load <= 40; ++load) {
+    expect_recounted(StencilPattern::with_thread_load(load));
+  }
+  // Random offsets, repeats and vertical neighbours of one column included.
+  Rng rng(0x57e9c11);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Offset> offsets;
+    const int n = static_cast<int>(rng.next_below(12));
+    for (int i = 0; i < n; ++i) {
+      offsets.push_back({static_cast<int>(rng.next_below(7)) - 3,
+                         static_cast<int>(rng.next_below(7)) - 3,
+                         static_cast<int>(rng.next_below(3)) - 1});
+    }
+    const StencilPattern pattern(offsets);
+    expect_recounted(pattern);
+    expect_recounted(pattern.merged_with(StencilPattern::cross2d(1)));
+  }
+}
+
+TrafficBreakdown reference_traffic(const Program& program, const LaunchDescriptor& launch) {
+  TrafficBreakdown t;
+  const double sites = static_cast<double>(program.grid().total_sites());
+  const double pivot_halo = halo_area_factor(program.launch(), launch.halo_radius);
+  std::set<ArrayId> resident;
+  for (KernelId k : launch.members) {
+    const KernelInfo& kernel = program.kernel(k);
+    for (const ArrayAccess& acc : kernel.accesses) {
+      const double elem = program.array(acc.array).elem_bytes;
+      if (acc.is_read()) {
+        const double use_bytes = sites * elem * recount_thread_load(acc.pattern);
+        if (launch.is_staged(acc.array)) {
+          if (resident.count(acc.array) == 0 && !acc.reads_own_product) {
+            const double tile_bytes = sites * elem * pivot_halo;
+            t.load_bytes += tile_bytes;
+            t.halo_bytes += tile_bytes - sites * elem;
+          }
+          t.smem_bytes += use_bytes;
+          resident.insert(acc.array);
+        } else if (recount_thread_load(acc.pattern) > 1 && kernel.smem_in_original) {
+          const double own_halo =
+              halo_area_factor(program.launch(), recount_radius(acc.pattern));
+          const double tile_bytes = sites * elem * own_halo;
+          t.load_bytes += tile_bytes;
+          t.halo_bytes += tile_bytes - sites * elem;
+          t.smem_bytes += use_bytes;
+        } else {
+          t.load_bytes += use_bytes;
+        }
+      }
+      if (acc.is_write()) {
+        t.store_bytes += sites * elem;
+        if (launch.is_staged(acc.array)) {
+          t.smem_bytes += sites * elem;
+          resident.insert(acc.array);
+        }
+      }
+    }
+  }
+  return t;
+}
+
+/// ProposedModel::project_impl's formulas (Eqs. 2-10 and the calibrated
+/// bound), over the recounted thread loads and the reference traffic.
+Projection reference_projection(const DeviceSpec& device, bool literal,
+                                const Program& program, const LaunchDescriptor& launch) {
+  Projection p;
+  const double sites = static_cast<double>(program.grid().total_sites());
+  const int elem = dominant_elem_bytes(program);
+  const int thr = program.launch().threads_per_block();
+  const auto infeasible = [&p](std::string reason) {
+    p.feasible = false;
+    p.infeasible_reason = std::move(reason);
+    p.time_s = std::numeric_limits<double>::infinity();
+    return p;
+  };
+  if (!launch.is_fused() || launch.pivot_arrays.empty()) {
+    const double bytes = reference_traffic(program, launch).gmem_total();
+    p.time_s = std::max(bytes / (device.gmem_bw_gbs * 1e9),
+                        launch.flops_per_site * sites / (device.peak_gflops * 1e9));
+    return p;
+  }
+  const int c = launch.recompute_halo ? 1 : 0;
+  const long hal = halo_points(program.launch(), launch.halo_radius);
+  const int h_th = c ? static_cast<int>((hal + thr - 1) / thr) : 0;
+  int t_b = thr;
+  int max_thrld = 1;
+  int r_adr = 0;
+  for (KernelId k : launch.members) {
+    const KernelInfo& kernel = program.kernel(k);
+    if (kernel.active_threads > 0) t_b = std::min(t_b, kernel.active_threads);
+    for (ArrayId a : launch.pivot_arrays) {
+      const ArrayAccess* acc = kernel.find_access(a);
+      if (acc != nullptr && acc->is_read()) {
+        max_thrld = std::max(max_thrld, recount_thread_load(acc->pattern));
+      }
+    }
+    r_adr = std::max(r_adr, kernel.addr_regs);
+  }
+  const int shr = static_cast<int>(launch.pivot_arrays.size());
+  const int r_t = 1 + c * h_th + static_cast<int>(std::ceil(device.reg_reuse_factor * max_thrld)) +
+                  c * h_th + r_adr + 1;
+  p.regs_estimate = r_t;
+  if (r_t > device.max_regs_per_thread) {
+    return infeasible(strprintf("Eq.6: projected registers %d exceed R_Max %d", r_t,
+                                device.max_regs_per_thread));
+  }
+  const int blocks_by_regs =
+      static_cast<int>(device.regs_per_smx / (static_cast<long>(thr) * r_t));
+  const long smem_block_raw = static_cast<long>(1 + c * h_th) * t_b * shr * elem;
+  const long smem_block = smem_block_raw + smem_block_raw / device.smem_banks;
+  p.smem_estimate = smem_block;
+  const int blocks_by_smem = smem_block > 0 ? static_cast<int>(device.smem_per_smx / smem_block)
+                                            : device.max_blocks_per_smx;
+  if (blocks_by_smem == 0) {
+    return infeasible(strprintf("Eq.7: SMEM demand %ld B/block exceeds %ld", smem_block,
+                                device.smem_per_smx));
+  }
+  if (blocks_by_regs == 0) return infeasible("Eq.3: register file admits zero blocks");
+  const int blocks_smx = std::min({device.max_blocks_per_smx, blocks_by_regs, blocks_by_smem,
+                                   device.max_threads_per_smx / thr});
+  p.blocks_per_smx = blocks_smx;
+  const double total_flops = launch.flops_per_site * sites;
+  if (literal) {
+    const double b_sh = static_cast<double>(t_b) * blocks_smx / ((1 + c * h_th) * shr);
+    const double b_eff =
+        b_sh * device.num_smx / (static_cast<double>(thr) * program.blocks());
+    p.p_membound_gflops = b_eff * device.gmem_bw_gbs / elem;
+    p.time_s = total_flops * 1e-9 / p.p_membound_gflops;
+    return p;
+  }
+  const int r_t_cal = std::max(r_t, launch.regs_per_thread);
+  p.regs_estimate = r_t_cal;
+  if (r_t_cal > device.max_regs_per_thread) {
+    return infeasible(strprintf("Eq.6 (calibrated): projected registers %d exceed R_Max %d",
+                                r_t_cal, device.max_regs_per_thread));
+  }
+  const int blocks_by_regs_cal =
+      static_cast<int>(device.regs_per_smx / (static_cast<long>(thr) * r_t_cal));
+  const int blocks_cal = std::min({blocks_smx, std::max(1, blocks_by_regs_cal)});
+  p.blocks_per_smx = blocks_cal;
+  double mlp = device.mlp_per_warp;
+  if (r_t_cal > 128) {
+    const double squeeze =
+        static_cast<double>(r_t_cal - 128) / (device.max_regs_per_thread - 128);
+    mlp = std::max(1.5, mlp * (1.0 - 0.6 * squeeze));
+  }
+  const int warps_per_block = (thr + device.warp_size - 1) / device.warp_size;
+  const double active_warps = static_cast<double>(blocks_cal) * warps_per_block;
+  const double latency_s = device.gmem_latency_cycles / (device.clock_ghz * 1e9);
+  const double bw_bytes = device.gmem_bw_gbs * 1e9;
+  const double inflight = static_cast<double>(device.num_smx) * active_warps * mlp * 128.0;
+  const double hiding = std::min(1.0, inflight / (bw_bytes * latency_s));
+  const TrafficBreakdown traffic = reference_traffic(program, launch);
+  const double bytes = traffic.gmem_total();
+  const double mem_time = bytes / (bw_bytes * hiding);
+  const double compute_time = total_flops / (device.peak_gflops * 1e9);
+  const double smem_time = traffic.smem_bytes / device.smem_bw_bytes_per_s();
+  p.time_s = std::max({mem_time, compute_time, smem_time}) +
+             device.smem_overlap_penalty * smem_time;
+  p.p_membound_gflops = (total_flops / bytes) * device.gmem_bw_gbs * hiding;
+  return p;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_bits(const TrafficBreakdown& got, const TrafficBreakdown& want) {
+  EXPECT_EQ(bits(got.load_bytes), bits(want.load_bytes));
+  EXPECT_EQ(bits(got.store_bytes), bits(want.store_bytes));
+  EXPECT_EQ(bits(got.halo_bytes), bits(want.halo_bytes));
+  EXPECT_EQ(bits(got.smem_bytes), bits(want.smem_bytes));
+}
+
+void expect_same_bits(const Projection& got, const Projection& want) {
+  EXPECT_EQ(bits(got.time_s), bits(want.time_s));
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.infeasible_reason, want.infeasible_reason);
+  EXPECT_EQ(bits(got.p_membound_gflops), bits(want.p_membound_gflops));
+  EXPECT_EQ(got.blocks_per_smx, want.blocks_per_smx);
+  EXPECT_EQ(got.regs_estimate, want.regs_estimate);
+  EXPECT_EQ(got.smem_estimate, want.smem_estimate);
+}
+
+/// serve-mixed's Table V programs: 20-50 kernels, sharing sets of 2-8.
+std::vector<Program> table_v_programs() {
+  std::vector<Program> out;
+  for (int kernels : {20, 30, 40, 50}) {
+    for (int sharing : {2, 4, 8}) {
+      TestSuiteConfig config;
+      config.kernels = kernels;
+      config.arrays = 2 * kernels;
+      config.sharing_set_size = sharing;
+      out.push_back(make_testsuite_program(config));
+    }
+  }
+  return out;
+}
+
+std::vector<Program> projection_programs(const std::string& name) {
+  if (name == "scale_les") return {scale_les()};
+  if (name == "homme") return {homme()};
+  if (name == "rk18") return {scale_les_rk18()};
+  if (name == "cloverleaf") return {cloverleaf()};
+  if (name == "fig3") return {motivating_example()};
+  return table_v_programs();
+}
+
+class ProjectionBitIdentity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ProjectionBitIdentity, ModelsAndTrafficMatchTheRecountingReference) {
+  // Every original kernel, the fused groups of random legal plans of the
+  // expanded program (as a search prices them) and pools of four
+  // consecutive groups, which reach the Eq. 6 and Eq. 7 infeasible
+  // verdicts, on all three devices; and the same with the program's
+  // read-only arrays flagged, so descriptors stage through the read-only
+  // cache too.
+  int fused = 0;
+  int flagged = 0;  // read-only arrays (CloverLeaf has none)
+  int rocache = 0;
+  std::vector<Program> programs;
+  for (const Program& original : projection_programs(GetParam())) {
+    programs.push_back(expand_arrays(original, -1.0).program);
+    programs.push_back(programs.back());
+    flagged += mark_readonly_arrays(programs.back());
+  }
+  for (const Program& program : programs) {
+    for (const DeviceSpec& device :
+         {DeviceSpec::k20x(), DeviceSpec::k40(), DeviceSpec::gtx750ti()}) {
+      const LegalityChecker checker(program, device);
+      const ProposedModel calibrated(device);
+      const ProposedModel literal(
+          device, {.formulation = ProposedModel::Formulation::PaperLiteral});
+      std::vector<LaunchDescriptor> launches;
+      for (KernelId k = 0; k < program.num_kernels(); ++k) {
+        launches.push_back(descriptor_for_original(program, k));
+      }
+      Rng rng(0x9b17 + static_cast<std::uint64_t>(program.num_kernels()));
+      for (int draw = 0; draw < 8; ++draw) {
+        const FusionPlan plan = random_legal_plan(checker, rng, 0.3 + 0.1 * draw);
+        std::vector<KernelId> run;  // consecutive groups pooled: oversized ones too
+        for (int g = 0; g < plan.num_groups(); ++g) {
+          run.insert(run.end(), plan.group(g).begin(), plan.group(g).end());
+          if (g % 4 == 3) {
+            launches.push_back(checker.builder().build(run));
+            run.clear();
+          }
+          if (plan.group(g).size() < 2) continue;
+          launches.push_back(checker.builder().build(plan.group(g)));
+          ++fused;
+        }
+      }
+      for (const LaunchDescriptor& launch : launches) {
+        SCOPED_TRACE(device.name + " " + launch.name);
+        if (!launch.rocache_arrays.empty()) ++rocache;
+        expect_same_bits(compute_traffic(program, launch), reference_traffic(program, launch));
+        expect_same_bits(calibrated.project(program, launch),
+                         reference_projection(device, false, program, launch));
+        expect_same_bits(literal.project(program, launch),
+                         reference_projection(device, true, program, launch));
+      }
+    }
+  }
+  EXPECT_GT(fused, 0);
+  if (flagged > 0) {
+    EXPECT_GT(rocache, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, ProjectionBitIdentity,
+                         ::testing::Values("scale_les", "homme", "rk18", "cloverleaf",
+                                           "fig3", "table_v"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 // ==================================================== precision sweep
 
