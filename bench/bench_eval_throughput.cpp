@@ -113,7 +113,7 @@ int run() {
 
   std::cout << "\nper-plan costs bit-identical across engines: "
             << (identical ? "yes" : "NO — BUG") << "\n"
-            << "sharded cache: " << stats.entries << " entries / " << stats.shards
+            << "sharded cache: " << stats.entries << " entries / " << GroupCostCache::kShards
             << " shards, hit rate " << fixed(100.0 * stats.hit_rate(), 2)
             << "%, duplicate misses " << stats.duplicate_misses
             << ", lock waits " << stats.shard_contention << "\n";
@@ -129,7 +129,7 @@ int run() {
   doc.set("batched_evals_per_s", batched_phase.evals_per_s);
   doc.set("cache_hit_rate", stats.hit_rate());
   doc.set("cache_entries", static_cast<long>(stats.entries));
-  doc.set("cache_shards", static_cast<long>(stats.shards));
+  doc.set("cache_shards", static_cast<long>(GroupCostCache::kShards));
   doc.set("duplicate_misses", stats.duplicate_misses);
   doc.set("shard_contention", stats.shard_contention);
   doc.set("identical_costs", identical);

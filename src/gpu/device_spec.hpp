@@ -52,11 +52,6 @@ struct DeviceSpec {
   bool regs_spill_to_l2 = false;        ///< Maxwell spills to L2 (higher penalty)
   double spill_penalty = 1.15;          ///< slowdown when R_T demand exceeds R_Max
 
-  /// Elements of `elem_bytes` loaded per 128-byte coalesced transaction.
-  double elems_per_transaction(int elem_bytes) const noexcept {
-    return 128.0 / elem_bytes;
-  }
-
   /// Bytes/s the SMX array can read from shared memory in aggregate.
   double smem_bw_bytes_per_s() const noexcept {
     return static_cast<double>(num_smx) * smem_banks * bank_width_bytes * clock_ghz * 1e9;

@@ -63,7 +63,7 @@ void set_member_bits(std::span<std::uint64_t> mask, std::span<const int> ids, in
   }
 }
 
-Dag::Dag(int n) : n_(n), succ_(static_cast<std::size_t>(n)), pred_(static_cast<std::size_t>(n)) {
+Dag::Dag(int n) : n_(n), succ_(static_cast<std::size_t>(n)) {
   KF_REQUIRE(n >= 0, "Dag size must be non-negative");
 }
 
@@ -78,7 +78,6 @@ void Dag::add_edge(int u, int v) {
   auto& s = succ_[static_cast<std::size_t>(u)];
   if (std::find(s.begin(), s.end(), v) != s.end()) return;
   s.push_back(v);
-  pred_[static_cast<std::size_t>(v)].push_back(u);
   ++edge_count_;
 }
 
@@ -91,11 +90,6 @@ bool Dag::has_edge(int u, int v) const noexcept {
 const std::vector<int>& Dag::successors(int u) const {
   check_vertex(u);
   return succ_[static_cast<std::size_t>(u)];
-}
-
-const std::vector<int>& Dag::predecessors(int u) const {
-  check_vertex(u);
-  return pred_[static_cast<std::size_t>(u)];
 }
 
 std::vector<int> Dag::topological_order() const {

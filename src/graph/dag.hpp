@@ -63,7 +63,6 @@ class Dag {
 
   bool has_edge(int u, int v) const noexcept;
   const std::vector<int>& successors(int u) const;
-  const std::vector<int>& predecessors(int u) const;
 
   std::size_t num_edges() const noexcept { return edge_count_; }
 
@@ -86,7 +85,6 @@ class Dag {
   int n_ = 0;
   std::size_t edge_count_ = 0;
   std::vector<std::vector<int>> succ_;
-  std::vector<std::vector<int>> pred_;
 
   void check_vertex(int v) const;
 };

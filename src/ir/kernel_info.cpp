@@ -49,22 +49,6 @@ double KernelInfo::flops_for_array(ArrayId array) const noexcept {
   return a ? a->flops : 0.0;
 }
 
-std::vector<ArrayId> KernelInfo::read_arrays() const {
-  std::vector<ArrayId> out;
-  for (const auto& a : accesses) {
-    if (a.is_read()) out.push_back(a.array);
-  }
-  return out;
-}
-
-std::vector<ArrayId> KernelInfo::written_arrays() const {
-  std::vector<ArrayId> out;
-  for (const auto& a : accesses) {
-    if (a.is_write()) out.push_back(a.array);
-  }
-  return out;
-}
-
 void KernelInfo::derive_metadata_from_body() {
   KF_REQUIRE(!body.empty(), "kernel '" << name << "' has no body to derive from");
 

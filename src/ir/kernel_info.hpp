@@ -83,9 +83,6 @@ struct KernelInfo {
   /// Flop(x) — 0 when the kernel does not access the array.
   double flops_for_array(ArrayId array) const noexcept;
 
-  std::vector<ArrayId> read_arrays() const;
-  std::vector<ArrayId> written_arrays() const;
-
   /// Recompute `accesses` and `flops_per_site` from `body`, keeping the
   /// written set's patterns at the center point. Throws if the body is empty.
   void derive_metadata_from_body();

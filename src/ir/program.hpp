@@ -21,7 +21,6 @@ struct GridDims {
   long ny = 256;
   long nz = 64;
 
-  long plane_sites() const noexcept { return nx * ny; }
   long total_sites() const noexcept { return nx * ny * nz; }
 };
 
@@ -41,7 +40,6 @@ class Program {
   const std::string& name() const noexcept { return name_; }
   const GridDims& grid() const noexcept { return grid_; }
   const LaunchConfig& launch() const noexcept { return launch_; }
-  void set_grid(const GridDims& grid) { grid_ = grid; }
   void set_launch(const LaunchConfig& launch);
 
   ArrayId add_array(ArrayInfo info);

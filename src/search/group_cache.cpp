@@ -2,25 +2,7 @@
 
 #include <mutex>
 
-#include "util/error.hpp"
-
 namespace kf {
-namespace {
-
-int round_up_pow2(int n) {
-  int p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-GroupCostCache::GroupCostCache(int shards) {
-  KF_REQUIRE(shards >= 1, "cache shard count must be >= 1");
-  shard_count_ = round_up_pow2(shards);
-  mask_ = static_cast<std::uint64_t>(shard_count_ - 1);
-  shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(shard_count_));
-}
 
 bool GroupCostCache::find(std::uint64_t key, Entry* out) const {
   const Shard& shard = shard_of(key);

@@ -5,7 +5,7 @@
 // evaluations, most of them repeats) the memo is hammered from the OpenMP
 // population loop. A single mutex around one map serializes that loop, so
 // the cache is lock-striped: the low bits of the 64-bit member-set
-// fingerprint select one of N shards, each an independent shared_mutex
+// fingerprint select one of 16 shards, each an independent shared_mutex
 // beside a flat open-addressed table (util/flat_table.hpp) whose slots hold
 // {fingerprint, cost, profitable, quarantined} inline, and whose home slot
 // comes from the fingerprint's high bits. Hits — the overwhelming majority
@@ -25,9 +25,9 @@
 // audits it as a duplicate model evaluation.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 
 #include "util/flat_table.hpp"
@@ -44,16 +44,14 @@ struct GroupCost {
 
 class GroupCostCache {
  public:
-  static constexpr int kDefaultShards = 16;
+  /// A power of two, so shard selection is a mask of the already
+  /// well-mixed fingerprint.
+  static constexpr int kShards = 16;
 
   struct Entry {
     GroupCost cost;
     bool quarantined = false;  ///< evaluation threw; cost is the penalty cost
   };
-
-  /// `shards` is rounded up to a power of two (>= 1) so shard selection is
-  /// a mask of the already well-mixed fingerprint.
-  explicit GroupCostCache(int shards = kDefaultShards);
 
   /// Hit path: one shared lock on one shard.
   bool find(std::uint64_t key, Entry* out) const;
@@ -69,7 +67,6 @@ class GroupCostCache {
   long quarantined_count() const noexcept {
     return quarantined_.load(std::memory_order_relaxed);
   }
-  int shards() const noexcept { return shard_count_; }
 
   /// Lock acquisitions that found the shard already held and had to wait —
   /// the contention signal the shard count is meant to keep near zero.
@@ -84,15 +81,13 @@ class GroupCostCache {
     FlatTable<Entry> table;  // keyed by the fingerprint alone
   };
 
-  int shard_count_ = 0;
-  std::uint64_t mask_ = 0;
-  std::unique_ptr<Shard[]> shards_;
+  mutable std::array<Shard, kShards> shards_;
   mutable std::atomic<long> contention_{0};
   std::atomic<std::size_t> entries_{0};
   std::atomic<long> quarantined_{0};
 
   Shard& shard_of(std::uint64_t key) const noexcept {
-    return shards_[static_cast<std::size_t>(key & mask_)];
+    return shards_[static_cast<std::size_t>(key & (kShards - 1))];
   }
 };
 

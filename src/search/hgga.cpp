@@ -789,9 +789,11 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
 
   result.best = best.plan;
   const bool stopped_early = control != nullptr && control->stopped();
-  // Polish is skipped on an early stop: it can take arbitrarily long and the
-  // contract is to return the legal best-so-far near the deadline.
-  if (config_.local_polish && !stopped_early) {
+  // The "hybrid" in HGGA: steepest-descent local search (merge / move /
+  // split neighbourhood) polishes the final best individual. Polish is
+  // skipped on an early stop: it can take arbitrarily long and the contract
+  // is to return the legal best-so-far near the deadline.
+  if (!stopped_early) {
     const double cost_before = best.cost;
     double polished_cost = best.cost;
     const int edits =

@@ -63,9 +63,6 @@ struct HggaConfig {
   int population = 100;          ///< must exceed the 4 elites
   int max_generations = 2000;
   int stall_generations = 200;   ///< stop after this many flat generations
-  /// The "hybrid" in HGGA: steepest-descent local search (merge / move /
-  /// split neighbourhood) applied to the final best individual.
-  bool local_polish = true;
   std::uint64_t seed = 0x5eed;
 };
 

@@ -5,6 +5,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/string_util.hpp"
@@ -285,18 +286,14 @@ std::vector<double> Objective::plan_costs(std::span<const FusionPlan> plans) con
   SpanTracer::Scope probe_span = scoped_span(telemetry_, "objective.cache_probe");
 
   // Pass 1 (serial): deduplicate *every* query, not just the misses, with a
-  // call-local open-addressing table (fp -> arena slot). Each distinct
-  // fingerprint touches the shared cache exactly once — duplicates resolve
-  // with no lock, no atomic, no heap churn, which is where a population's
-  // worth of repeated singleton/fused groups spends its time. The table is
-  // sized to the *distinct* count (grown 4x past 2/3 load) so it stays
-  // L1/L2-resident; sizing it to the query count measurably hurts. The
-  // first occurrence in plan order is the representative, so the miss work
-  // list is deterministic. Key 0 marks an empty slot; the (2^-64) group
-  // whose fingerprint is 0 falls back to group_cost.
-  std::size_t cap = 1024;
-  std::vector<std::uint64_t> keys(cap, 0);
-  std::vector<std::uint32_t> index(cap, 0);
+  // call-local table (fingerprint -> arena slot). Each distinct fingerprint
+  // touches the shared cache exactly once — duplicates resolve with no lock
+  // and no atomic, which is where a population's worth of repeated
+  // singleton/fused groups spends its time. The first occurrence in plan
+  // order is the representative, so the miss work list is deterministic.
+  // 1,024 slots hold 512 distinct groups before the first growth, more than
+  // most HGGA batches bring.
+  FlatTable<std::uint32_t> distinct(0, 1024);
   std::vector<double> arena;  ///< cost per distinct fp; miss = -1 sentinel
   std::vector<std::uint32_t> slots(static_cast<std::size_t>(queries));
   struct Miss {
@@ -305,43 +302,17 @@ std::vector<double> Objective::plan_costs(std::span<const FusionPlan> plans) con
     int group;
   };
   std::vector<Miss> misses;
-  const auto probe = [&keys, &cap](std::uint64_t fp) {
-    std::size_t pos = static_cast<std::size_t>(fp) & (cap - 1);
-    while (keys[pos] != 0 && keys[pos] != fp) pos = (pos + 1) & (cap - 1);
-    return pos;
-  };
   long in_batch = 0;  ///< duplicate queries answered from the table
   std::size_t q = 0;
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const FusionPlan& plan = plans[i];
     for (int g = 0; g < plan.num_groups(); ++g) {
       const std::uint64_t fp = group_fingerprint(plan.group(g));
-      if (fp == 0) {  // cannot live in the table; resolve per occurrence
-        --queries;
-        slots[q++] = static_cast<std::uint32_t>(arena.size());
-        arena.push_back(group_cost(plan.group(g)).cost_s);
-        continue;
-      }
-      std::size_t pos = probe(fp);
-      if (keys[pos] == fp) {
+      const auto [slot, inserted] =
+          distinct.insert(fp, {}, static_cast<std::uint32_t>(arena.size()));
+      if (!inserted) {
         ++in_batch;
       } else {
-        if ((arena.size() + 1) * 3 > cap * 2) {
-          std::vector<std::uint64_t> old_keys = std::move(keys);
-          std::vector<std::uint32_t> old_index = std::move(index);
-          cap <<= 2;
-          keys.assign(cap, 0);
-          index.assign(cap, 0);
-          for (std::size_t p = 0; p < old_keys.size(); ++p) {
-            if (old_keys[p] == 0) continue;
-            const std::size_t np = probe(old_keys[p]);
-            keys[np] = old_keys[p];
-            index[np] = old_index[p];
-          }
-          pos = probe(fp);
-        }
-        keys[pos] = fp;
-        index[pos] = static_cast<std::uint32_t>(arena.size());
         GroupCostCache::Entry entry;
         if (cache_.find(fp, &entry)) {
           arena.push_back(entry.cost.cost_s);
@@ -350,7 +321,7 @@ std::vector<double> Objective::plan_costs(std::span<const FusionPlan> plans) con
           arena.push_back(-1.0);  // group costs are strictly positive
         }
       }
-      slots[q++] = index[pos];
+      slots[q++] = *slot;
     }
   }
   // Counter parity with the per-plan path, one update per batch: every
@@ -408,7 +379,6 @@ Objective::CacheStats Objective::cache_stats() const {
   stats.shard_contention = cache_.contention();
   stats.quarantined = cache_.quarantined_count();
   stats.entries = cache_.size();
-  stats.shards = cache_.shards();
   return stats;
 }
 

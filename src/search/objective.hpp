@@ -128,7 +128,6 @@ class Objective {
     long delta_hits = 0;
     long delta_full_recosts = 0;
     std::size_t entries = 0;    ///< distinct cached member sets
-    int shards = 0;
 
     double hit_rate() const noexcept {
       const long total = hits + misses;

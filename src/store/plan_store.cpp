@@ -141,13 +141,6 @@ bool parse_payload(std::string_view payload, ParsedRecord* out) {
   return true;
 }
 
-struct ScanResult {
-  std::vector<ParsedRecord> records;
-  std::size_t quarantined = 0;
-  std::size_t salvaged = 0;
-  bool torn_tail = false;
-};
-
 /// Validates one framed line (without its '\n'). False → corrupt frame.
 bool parse_frame(std::string_view line, ParsedRecord* out) {
   if (!starts_with(line, kFrameMagic) || line.size() < kFrameMagic.size() + 1 ||
@@ -178,9 +171,10 @@ bool parse_frame(std::string_view line, ParsedRecord* out) {
 }
 
 /// Scans one store file: splits on '\n', validates every frame, counts
-/// quarantine/salvage, flags a torn tail. Never throws on content.
-ScanResult scan_file(std::string_view content) {
-  ScanResult result;
+/// quarantine/salvage into `report`, flags a torn tail, and returns the
+/// valid records. Never throws on content.
+std::vector<ParsedRecord> scan_file(std::string_view content, StoreRecovery& report) {
+  std::vector<ParsedRecord> records;
   bool seen_bad = false;
   std::size_t pos = 0;
   while (pos < content.size()) {
@@ -194,19 +188,19 @@ ScanResult scan_file(std::string_view content) {
     if (parse_frame(line, &record)) {
       // A complete final record missing only its '\n' is a committed record:
       // the CRC proves every payload byte landed.
-      if (seen_bad) ++result.salvaged;
-      result.records.push_back(std::move(record));
+      if (seen_bad) ++report.salvaged;
+      records.push_back(std::move(record));
     } else if (is_tail) {
       // Truncated in-flight record: the one commit a crash may lose.
-      result.torn_tail = true;
+      report.torn_tail = true;
     } else {
       // Bit-rot / torn-then-continued line mid-file: quarantine and keep
       // scanning — later records still self-validate.
-      ++result.quarantined;
+      ++report.quarantined;
       seen_bad = true;
     }
   }
-  return result;
+  return records;
 }
 
 }  // namespace
@@ -214,74 +208,62 @@ ScanResult scan_file(std::string_view content) {
 PlanStore::PlanStore(Config config) : config_(std::move(config)) {
   KF_REQUIRE(!config_.dir.empty(), "plan store needs a directory");
   make_dir(config_.dir);
-  recover();
+  recovery_ = scan(config_.dir, config_.max_record_bytes, this);
+  journal_records_ = recovery_.journal_records;
+  emit_recovery_telemetry();
 }
 
-void PlanStore::recover() {
+StoreRecovery PlanStore::scan(const std::string& dir,
+                              std::size_t max_record_bytes, PlanStore* into) {
+  StoreRecovery report;
+  const auto apply = [into](ParsedRecord& record) {
+    if (into == nullptr) return;
+    if (record.kind == ParsedRecord::Kind::Put) {
+      const PlanKey key = record.plan.key;
+      into->next_revision_ = std::max(into->next_revision_, record.plan.revision + 1);
+      into->index_[{key.program_fp, key.device_fp}] = std::move(record.plan);
+    } else {
+      into->index_.erase({record.key.program_fp, record.key.device_fp});
+      into->next_revision_ = std::max(into->next_revision_, record.revision + 1);
+    }
+  };
   // Snapshot first (base image), then journal (replay) — matching the
   // compaction ordering: snapshot commit precedes journal reset.
-  if (file_exists(snapshot_path())) {
-    const ScanResult scan =
-        scan_file(read_file(snapshot_path(), config_.max_record_bytes * 64));
-    recovery_.quarantined += scan.quarantined;
-    recovery_.salvaged += scan.salvaged;
-    recovery_.torn_tail |= scan.torn_tail;  // snapshot bit-rot truncation
+  const std::string snapshot = dir + "/" + kSnapshotFile;
+  if (file_exists(snapshot)) {
     bool saw_header = false;
-    std::size_t applied = 0;
-    std::size_t end_count = 0;
     bool saw_end = false;
-    for (const ParsedRecord& record : scan.records) {
-      switch (record.kind) {
-        case ParsedRecord::Kind::SnapshotHeader: saw_header = true; break;
-        case ParsedRecord::Kind::End:
-          saw_end = true;
-          end_count = record.end_count;
-          break;
-        case ParsedRecord::Kind::Put:
-          index_[{record.plan.key.program_fp, record.plan.key.device_fp}] =
-              record.plan;
-          next_revision_ = std::max(next_revision_, record.plan.revision + 1);
-          ++applied;
-          break;
-        case ParsedRecord::Kind::Del:
-          index_.erase({record.key.program_fp, record.key.device_fp});
-          next_revision_ = std::max(next_revision_, record.revision + 1);
-          ++applied;
-          break;
+    std::size_t end_count = 0;
+    for (ParsedRecord& record :
+         scan_file(read_file(snapshot, max_record_bytes * 64), report)) {
+      if (record.kind == ParsedRecord::Kind::SnapshotHeader) {
+        saw_header = true;
+      } else if (record.kind == ParsedRecord::Kind::End) {
+        saw_end = true;
+        end_count = record.end_count;
+      } else {
+        apply(record);
+        ++report.snapshot_records;
       }
     }
-    recovery_.snapshot_records = applied;
-    if (!saw_header || !saw_end || end_count != applied) {
-      recovery_.snapshot_header_bad = true;
+    if (!saw_header || !saw_end || end_count != report.snapshot_records) {
+      report.snapshot_header_bad = true;
     }
   }
-  if (file_exists(journal_path())) {
-    const ScanResult scan =
-        scan_file(read_file(journal_path(), config_.max_record_bytes * 1024));
-    recovery_.quarantined += scan.quarantined;
-    recovery_.salvaged += scan.salvaged;
-    recovery_.torn_tail |= scan.torn_tail;
-    for (const ParsedRecord& record : scan.records) {
-      switch (record.kind) {
-        case ParsedRecord::Kind::Put:
-          index_[{record.plan.key.program_fp, record.plan.key.device_fp}] =
-              record.plan;
-          next_revision_ = std::max(next_revision_, record.plan.revision + 1);
-          ++recovery_.journal_records;
-          break;
-        case ParsedRecord::Kind::Del:
-          index_.erase({record.key.program_fp, record.key.device_fp});
-          next_revision_ = std::max(next_revision_, record.revision + 1);
-          ++recovery_.journal_records;
-          break;
-        default:
-          ++recovery_.quarantined;  // snapshot framing inside a journal
-          break;
+  const std::string journal = dir + "/" + kJournalFile;
+  if (file_exists(journal)) {
+    for (ParsedRecord& record :
+         scan_file(read_file(journal, max_record_bytes * 1024), report)) {
+      if (record.kind == ParsedRecord::Kind::Put ||
+          record.kind == ParsedRecord::Kind::Del) {
+        apply(record);
+        ++report.journal_records;
+      } else {
+        ++report.quarantined;  // snapshot framing inside a journal
       }
     }
-    journal_records_ = recovery_.journal_records;
   }
-  emit_recovery_telemetry();
+  return report;
 }
 
 void PlanStore::emit_recovery_telemetry() const {
@@ -473,49 +455,6 @@ PlanStore::Stats PlanStore::stats() const {
   s.compactions = compactions_;
   s.recovery = recovery_;
   return s;
-}
-
-StoreRecovery PlanStore::verify(const std::string& dir,
-                                std::size_t max_record_bytes) {
-  StoreRecovery report;
-  const std::string snapshot = dir + "/" + kSnapshotFile;
-  const std::string journal = dir + "/" + kJournalFile;
-  if (file_exists(snapshot)) {
-    const ScanResult scan = scan_file(read_file(snapshot, max_record_bytes * 64));
-    report.quarantined += scan.quarantined;
-    report.salvaged += scan.salvaged;
-    report.torn_tail |= scan.torn_tail;
-    bool saw_header = false;
-    bool saw_end = false;
-    std::size_t end_count = 0;
-    for (const ParsedRecord& record : scan.records) {
-      if (record.kind == ParsedRecord::Kind::SnapshotHeader) saw_header = true;
-      else if (record.kind == ParsedRecord::Kind::End) {
-        saw_end = true;
-        end_count = record.end_count;
-      } else {
-        ++report.snapshot_records;
-      }
-    }
-    if (!saw_header || !saw_end || end_count != report.snapshot_records) {
-      report.snapshot_header_bad = true;
-    }
-  }
-  if (file_exists(journal)) {
-    const ScanResult scan = scan_file(read_file(journal, max_record_bytes * 1024));
-    report.quarantined += scan.quarantined;
-    report.salvaged += scan.salvaged;
-    report.torn_tail |= scan.torn_tail;
-    for (const ParsedRecord& record : scan.records) {
-      if (record.kind == ParsedRecord::Kind::Put ||
-          record.kind == ParsedRecord::Kind::Del) {
-        ++report.journal_records;
-      } else {
-        ++report.quarantined;
-      }
-    }
-  }
-  return report;
 }
 
 }  // namespace kf

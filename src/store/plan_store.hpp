@@ -88,6 +88,8 @@ struct StoreRecovery {
   bool clean() const noexcept {
     return quarantined == 0 && !torn_tail && !snapshot_header_bad;
   }
+
+  friend bool operator==(const StoreRecovery&, const StoreRecovery&) = default;
 };
 
 class PlanStore {
@@ -147,11 +149,13 @@ class PlanStore {
   };
   Stats stats() const;
 
-  /// Read-only offline scan of a store directory (kfc store verify): same
-  /// validation as recovery, no repair, no index. Throws StoreError only on
+  /// Read-only offline scan of a store directory (kfc store verify): the
+  /// recovery scan, without repair or an index. Throws StoreError only on
   /// hard I/O failures.
   static StoreRecovery verify(const std::string& dir,
-                              std::size_t max_record_bytes = 1u << 20);
+                              std::size_t max_record_bytes = 1u << 20) {
+    return scan(dir, max_record_bytes, nullptr);
+  }
 
   /// Crash simulation (tests only): the next put() writes exactly `bytes`
   /// bytes of its framed record, then throws with the store wedged —
@@ -183,7 +187,11 @@ class PlanStore {
   std::string journal_path() const { return config_.dir + "/" + kJournalFile; }
   std::string snapshot_path() const { return config_.dir + "/" + kSnapshotFile; }
 
-  void recover();
+  /// Scans snapshot then journal, validating every record, and reports what
+  /// it found; applies the valid records to `into`'s index and revision
+  /// counter when given a store. Never throws on content.
+  static StoreRecovery scan(const std::string& dir, std::size_t max_record_bytes,
+                            PlanStore* into);
   void append_record(const std::string& payload, std::uint64_t fault_draw_key);
   void emit_recovery_telemetry() const;
 };

@@ -346,9 +346,6 @@ class FlightRecorder {
   std::string arm_signal_dump(const std::string& dir);
   void disarm_signal_dump() noexcept;  ///< restores previous handlers
   bool signal_armed() const noexcept;
-  const std::string& signal_bundle_path() const noexcept {
-    return signal_path_;
-  }
 
   /// The handler body: writes the bundle to the pre-opened fd using only
   /// async-signal-safe calls. Public so tests can exercise the exact

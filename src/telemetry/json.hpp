@@ -51,12 +51,10 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
   Kind kind() const noexcept { return kind_; }
-  bool is_null() const noexcept { return kind_ == Kind::Null; }
   bool is_bool() const noexcept { return kind_ == Kind::Bool; }
   bool is_number() const noexcept { return kind_ == Kind::Number; }
   bool is_string() const noexcept { return kind_ == Kind::String; }
   bool is_array() const noexcept { return kind_ == Kind::Array; }
-  bool is_object() const noexcept { return kind_ == Kind::Object; }
 
   // Typed accessors; throw kf::RuntimeError on kind mismatch.
   bool as_bool() const;

@@ -96,10 +96,6 @@ void FaultInjector::disarm(FaultSite site) noexcept {
   sites_[static_cast<std::size_t>(site)].armed.store(false, std::memory_order_release);
 }
 
-void FaultInjector::disarm_all() noexcept {
-  for (Site& s : sites_) s.armed.store(false, std::memory_order_release);
-}
-
 bool FaultInjector::armed(FaultSite site) const noexcept {
   return sites_[static_cast<std::size_t>(site)].armed.load(std::memory_order_acquire);
 }

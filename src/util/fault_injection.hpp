@@ -61,7 +61,6 @@ class FaultInjector {
 
   void arm(const FaultPlan& plan);
   void disarm(FaultSite site) noexcept;
-  void disarm_all() noexcept;
   bool armed(FaultSite site) const noexcept;
 
   /// Deterministic decision for this (site, key) draw; counts the draw.

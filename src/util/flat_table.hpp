@@ -1,12 +1,14 @@
 // FlatTable — the open-addressed hash table behind the search's memos
-// (LegalityChecker's resource-verdict memo and each GroupCostCache shard).
+// (LegalityChecker's resource-verdict memo, each GroupCostCache shard, and
+// Objective::plan_costs' per-batch deduplication).
 //
 // Power-of-two capacity and linear probing. Every slot's hash and key words
 // sit inline in one flat array, its value in a parallel one, so a probe
 // reads contiguous memory, and neither a hit nor an insert below the
 // growth threshold allocates. The table doubles once an insert would take
-// it past half full, starting from kInitialCapacity slots, so a table that
-// is barely used (a served context's memo) stays small.
+// it past half full, starting from kInitialCapacity slots unless its owner
+// asks for more, so a table that is barely used (a served context's memo)
+// stays small.
 //
 // The table is a building block, not a concurrent container: the caller
 // supplies each key's 64-bit hash, whose high bits pick the home slot (so
@@ -18,6 +20,10 @@
 // table keyed by a fingerprint alone). Keys compare in full: two keys with
 // equal hashes and different words are different keys, so a hash
 // collision costs a longer probe, never a wrong value.
+//
+// find and insert keep only the probe inline; the key-width failure and
+// insert's growth path are separate functions, so the compiler inlines the
+// probe into its callers' loops.
 #pragma once
 
 #include <algorithm>
@@ -36,13 +42,22 @@ class FlatTable {
  public:
   static constexpr std::size_t kInitialCapacity = 16;
 
-  explicit FlatTable(std::size_t key_words = 0)
-      : FlatTable(key_words, kInitialCapacity) {}
+  /// `capacity`, the starting slot count, must be a power of two.
+  explicit FlatTable(std::size_t key_words = 0,
+                     std::size_t capacity = kInitialCapacity)
+      : stride_(key_words + 1),
+        mask_(capacity - 1),
+        shift_(64 - std::countr_zero(capacity)),
+        words_(capacity * stride_),
+        values_(capacity),
+        used_(capacity, 0) {
+    KF_REQUIRE(std::has_single_bit(capacity), "capacity must be a power of two");
+  }
 
   /// The value stored under (hash, key), or nullptr. The pointer is valid
   /// until the next insert.
   const Value* find(std::uint64_t hash, std::span<const std::uint64_t> key = {}) const {
-    KF_REQUIRE(key.size() + 1 == stride_, "key has the wrong number of words");
+    if (key.size() + 1 != stride_) wrong_width();
     for (std::size_t i = home(hash); used_[i] != 0; i = (i + 1) & mask_) {
       if (matches(i, hash, key)) return &values_[i];
     }
@@ -55,17 +70,12 @@ class FlatTable {
   std::pair<const Value*, bool> insert(std::uint64_t hash,
                                        std::span<const std::uint64_t> key,
                                        const Value& value) {
-    KF_REQUIRE(key.size() + 1 == stride_, "key has the wrong number of words");
+    if (key.size() + 1 != stride_) wrong_width();
     std::size_t i = home(hash);
     for (; used_[i] != 0; i = (i + 1) & mask_) {
       if (matches(i, hash, key)) return {&values_[i], false};
     }
-    if ((size_ + 1) * 2 > capacity()) {
-      grow();
-      i = free_slot(hash);
-    }
-    place(i, hash, key.data(), value);
-    return {&values_[i], true};
+    return {add(i, hash, key.data(), value), true};
   }
 
   std::size_t size() const noexcept { return size_; }
@@ -80,13 +90,9 @@ class FlatTable {
   std::vector<Value> values_;
   std::vector<std::uint8_t> used_;
 
-  FlatTable(std::size_t key_words, std::size_t capacity)
-      : stride_(key_words + 1),
-        mask_(capacity - 1),
-        shift_(64 - std::countr_zero(capacity)),
-        words_(capacity * stride_),
-        values_(capacity),
-        used_(capacity, 0) {}
+  [[noreturn]] static void wrong_width() {
+    throw PreconditionError("FlatTable: key has the wrong number of words");
+  }
 
   std::size_t home(std::uint64_t hash) const noexcept {
     return static_cast<std::size_t>(hash >> shift_);
@@ -102,6 +108,18 @@ class FlatTable {
                std::span<const std::uint64_t> key) const noexcept {
     const std::uint64_t* slot = &words_[i * stride_];
     return slot[0] == hash && std::equal(key.begin(), key.end(), slot + 1);
+  }
+
+  /// Stores a new key found absent at free slot i, growing the table first
+  /// when the insert would take it past half full.
+  const Value* add(std::size_t i, std::uint64_t hash, const std::uint64_t* key,
+                   const Value& value) {
+    if ((size_ + 1) * 2 > capacity()) {
+      grow();
+      i = free_slot(hash);
+    }
+    place(i, hash, key, value);
+    return &values_[i];
   }
 
   void place(std::size_t i, std::uint64_t hash, const std::uint64_t* key,

@@ -23,8 +23,6 @@ class Stopwatch {
     return std::chrono::duration<double>(d).count();
   }
 
-  double elapsed_ms() const noexcept { return elapsed_s() * 1e3; }
-
   /// Seconds since the previous lap_s() (or construction/reset), advancing
   /// the lap marker: consecutive calls partition elapsed time into
   /// non-overlapping intervals (per-generation timing, heartbeat deltas).

@@ -200,13 +200,22 @@ TEST(FlatTable, HitsAndInsertsBelowTheGrowthThresholdAllocateNothing) {
   EXPECT_EQ(*hit, 1);
   EXPECT_EQ(miss, nullptr);
   EXPECT_EQ(table.capacity(), FlatTable<int>::kInitialCapacity);
+
+  // A table started larger, as plan_costs starts its batch table, fills
+  // half its slots before it first grows.
+  FlatTable<int> sized(0, 1024);
+  const long before_sized = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < 512; ++i) sized.insert(mix64(i), {}, static_cast<int>(i));
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before_sized);
+  EXPECT_EQ(sized.size(), 512u);
+  EXPECT_EQ(sized.capacity(), 1024u);
+  EXPECT_THROW(FlatTable<int>(0, 1000), PreconditionError);
 }
 
 // ---------- GroupCostCache ----------
 
 TEST(GroupCostCache, InsertFindRoundTrip) {
-  GroupCostCache cache(8);
-  EXPECT_EQ(cache.shards(), 8);
+  GroupCostCache cache;
   GroupCostCache::Entry entry;
   EXPECT_FALSE(cache.find(42, &entry));
   EXPECT_TRUE(cache.insert(42, {GroupCost{1.5, true}, false}));
@@ -217,7 +226,7 @@ TEST(GroupCostCache, InsertFindRoundTrip) {
 }
 
 TEST(GroupCostCache, DuplicateInsertKeepsFirstValue) {
-  GroupCostCache cache(4);
+  GroupCostCache cache;
   EXPECT_TRUE(cache.insert(7, {GroupCost{1.0, true}, false}));
   EXPECT_FALSE(cache.insert(7, {GroupCost{2.0, true}, false}));
   GroupCostCache::Entry entry;
@@ -226,15 +235,8 @@ TEST(GroupCostCache, DuplicateInsertKeepsFirstValue) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(GroupCostCache, ShardCountRoundsUpToPowerOfTwo) {
-  GroupCostCache cache(5);
-  EXPECT_EQ(cache.shards(), 8);
-  GroupCostCache one(1);
-  EXPECT_EQ(one.shards(), 1);
-}
-
 TEST(GroupCostCache, ConcurrentInsertFindIsCoherent) {
-  GroupCostCache cache(16);
+  GroupCostCache cache;
   constexpr int kThreads = 4;
   constexpr std::uint64_t kKeys = 4096;
   // Fingerprints are well mixed; key k's cost is k.
@@ -242,9 +244,9 @@ TEST(GroupCostCache, ConcurrentInsertFindIsCoherent) {
   // A shard is a fingerprint's low bits. Every shard's table must hold 8x
   // its initial capacity, so each doubles at least three times while the
   // other threads probe it.
-  std::vector<std::size_t> per_shard(static_cast<std::size_t>(cache.shards()), 0);
+  std::vector<std::size_t> per_shard(GroupCostCache::kShards, 0);
   for (std::uint64_t k = 1; k <= kKeys; ++k) {
-    ++per_shard[fingerprint(k) & static_cast<std::uint64_t>(cache.shards() - 1)];
+    ++per_shard[fingerprint(k) & (GroupCostCache::kShards - 1)];
   }
   ASSERT_GE(*std::min_element(per_shard.begin(), per_shard.end()),
             8 * FlatTable<GroupCostCache::Entry>::kInitialCapacity);

@@ -1,13 +1,10 @@
 // Tests for the extension features beyond the paper's core pipeline:
-// simulated annealing, timestep unrolling (multiple call sites), and the
-// read-only cache offload.
+// simulated annealing and the read-only cache offload.
 #include <gtest/gtest.h>
 
 #include "apps/motivating_example.hpp"
-#include "apps/scale_les.hpp"
 #include "apps/testsuite.hpp"
 #include "graph/dependency_graph.hpp"
-#include "graph/unroll.hpp"
 #include "model/proposed_model.hpp"
 #include "search/annealing.hpp"
 #include "search/greedy.hpp"
@@ -93,55 +90,6 @@ TEST(Annealing, RejectsBadConfig) {
   AnnealingConfig bad;
   bad.iterations = 0;
   EXPECT_THROW(annealing_search(rig.objective, bad), PreconditionError);
-}
-
-// ---------- timestep unrolling ----------
-
-TEST(Unroll, ClonesKernelsWithFreshPhases) {
-  const Program base = scale_les_rk18(GridDims{64, 16, 4});
-  const Program unrolled = unroll_timesteps(base, 3);
-  EXPECT_EQ(unrolled.num_kernels(), 3 * base.num_kernels());
-  EXPECT_EQ(unrolled.num_arrays(), base.num_arrays());
-  // Step 2's kernels carry the suffix and a later phase.
-  const KernelId k = unrolled.find_kernel("k01_velz@s2");
-  ASSERT_NE(k, kInvalidKernel);
-  EXPECT_GT(unrolled.kernel(k).phase, unrolled.kernel(0).phase);
-  EXPECT_NO_THROW(unrolled.validate());
-}
-
-TEST(Unroll, IdentityForOneStep) {
-  const Program base = motivating_example(GridDims{32, 16, 4});
-  const Program unrolled = unroll_timesteps(base, 1);
-  EXPECT_EQ(unrolled.num_kernels(), base.num_kernels());
-  EXPECT_EQ(unrolled.kernel(0).name, base.kernel(0).name);
-}
-
-TEST(Unroll, RepeatedWritesBecomeExpandable) {
-  const Program base = motivating_example(GridDims{32, 16, 4});
-  const Program unrolled = unroll_timesteps(base, 2);
-  const DependencyGraph deps = DependencyGraph::build(unrolled);
-  // A is written and read in each step: two writer generations now.
-  EXPECT_EQ(deps.usage(unrolled.find_array("A")), ArrayUsage::ExpandableReadWrite);
-  // P is never read, so extra write generations keep it write-only.
-  EXPECT_EQ(deps.usage(unrolled.find_array("P")), ArrayUsage::WriteOnly);
-}
-
-TEST(Unroll, FusionNeverCrossesStepBoundary) {
-  const Program base = motivating_example(GridDims{64, 32, 8});
-  const Program unrolled = unroll_timesteps(base, 2);
-  Rig rig{Program(unrolled)};
-  // Kern_C of step 1 and Kern_C@s2 of step 2 share arrays but sit in
-  // different phases.
-  const KernelId c1 = unrolled.find_kernel("Kern_C");
-  const KernelId c2 = unrolled.find_kernel("Kern_C@s2");
-  ASSERT_NE(c2, kInvalidKernel);
-  const std::vector<KernelId> cross{c1, c2};
-  EXPECT_EQ(rig.checker.check_group(cross), LegalityVerdict::PhaseMismatch);
-}
-
-TEST(Unroll, RejectsNonPositiveSteps) {
-  const Program base = motivating_example(GridDims{32, 16, 4});
-  EXPECT_THROW(unroll_timesteps(base, 0), PreconditionError);
 }
 
 // ---------- read-only cache ----------

@@ -204,14 +204,12 @@ TEST(Hgga, ConvergenceTraceRecorded) {
 }
 
 TEST(Hgga, LocalPolishConfigurable) {
-  SearchRig rig1 = suite_rig(15, 77);
-  SearchRig rig2 = suite_rig(15, 77);
-  HggaConfig with = small_config(3);
-  HggaConfig without = small_config(3);
-  without.local_polish = false;
-  const SearchResult a = Hgga(rig1.objective, with).run();
-  const SearchResult b = Hgga(rig2.objective, without).run();
-  EXPECT_LE(a.best_cost_s, b.best_cost_s + 1e-15);
+  // Polish always runs on the final best; history.back() is the best cost
+  // the generations reached before it, and polish never raises it.
+  SearchRig rig = suite_rig(15, 77);
+  const SearchResult result = Hgga(rig.objective, small_config(3)).run();
+  ASSERT_FALSE(result.history.empty());
+  EXPECT_LE(result.best_cost_s, result.history.back());
 }
 
 // ---------- exhaustive ----------

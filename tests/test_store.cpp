@@ -387,9 +387,10 @@ TEST_P(BadJournal, OpensSalvagesAndNeverServesCorruptRecords) {
   for (const auto& p : store.plans_for_program(1)) {
     EXPECT_NO_THROW((void)FusionPlan::parse(p.num_kernels, p.plan_text));
   }
-  // Offline verify sees the same corruption without repairing anything.
+  // Offline verify runs the recovery scan: it reports exactly what opening
+  // the store found, without repairing anything.
   const std::string before = read_file(dir + "/" + PlanStore::kJournalFile);
-  EXPECT_FALSE(PlanStore::verify(dir).clean());
+  EXPECT_EQ(PlanStore::verify(dir), store.recovery());
   EXPECT_EQ(read_file(dir + "/" + PlanStore::kJournalFile), before);
 }
 
@@ -416,6 +417,7 @@ TEST(BadSnapshot, SalvageMiddleJournalRecoversTheRecordAfterTheRot) {
   EXPECT_EQ(store.recovery().quarantined, 1u);
   EXPECT_EQ(store.recovery().salvaged, 1u);
   EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(PlanStore::verify(dir), store.recovery());
 }
 
 TEST(BadSnapshot, BadHeaderIsFlaggedButRecordsStillLoad) {
@@ -429,6 +431,7 @@ TEST(BadSnapshot, BadHeaderIsFlaggedButRecordsStillLoad) {
   EXPECT_TRUE(store.recovery().snapshot_header_bad);
   EXPECT_FALSE(store.recovery().clean());
   EXPECT_EQ(store.size(), 1u) << "valid records inside still salvage";
+  EXPECT_EQ(PlanStore::verify(dir), store.recovery());
 }
 
 }  // namespace
